@@ -20,8 +20,9 @@
 package baseline
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"coolopt/internal/core"
 	"coolopt/internal/units"
@@ -136,21 +137,13 @@ func NewPlannerOnProfile(p *core.Profile) (*Planner, error) {
 }
 
 func newPlanner(p *core.Profile, opt *core.Optimizer) (*Planner, error) {
-	order := make([]int, p.Size())
-	for i := range order {
-		order[i] = i
-	}
 	ref := units.Celsius((p.TAcMinC + p.TAcMaxC) / 2)
-	idleTemp := func(i int) float64 { return float64(p.CPUTemp(i, 0, ref)) }
-	sort.SliceStable(order, func(a, b int) bool {
-		return idleTemp(order[a]) < idleTemp(order[b])
-	})
+	order := coolOrder(p, ref)
 
 	all := make([]int, p.Size())
-	copy(all, order)
-	sort.Ints(all)
 	full := make([]float64, p.Size())
-	for i := range full {
+	for i := range all {
+		all[i] = i
 		full[i] = 1
 	}
 	fixed, err := p.MaxSafeTAc(all, full)
@@ -159,6 +152,34 @@ func newPlanner(p *core.Profile, opt *core.Optimizer) (*Planner, error) {
 	}
 
 	return &Planner{profile: p, optimizer: opt, coolOrder: order, fixedTAc: fixed}, nil
+}
+
+// coolOrder ranks machine IDs by idle CPU temperature at supply ref,
+// coolest first, with ties in ascending ID order. Each temperature is
+// computed once; the ranking equals a stable sort of 0..n−1 by it.
+func coolOrder(p *core.Profile, ref units.Celsius) []int {
+	type ranked struct {
+		temp float64
+		id   int
+	}
+	keys := make([]ranked, p.Size())
+	for i := range keys {
+		keys[i] = ranked{float64(p.CPUTemp(i, 0, ref)), i}
+	}
+	slices.SortFunc(keys, func(a, b ranked) int {
+		switch {
+		case a.temp < b.temp:
+			return -1
+		case b.temp < a.temp:
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	order := make([]int, len(keys))
+	for j, k := range keys {
+		order[j] = k.id
+	}
+	return order
 }
 
 // Profile returns the profile the planner plans against.

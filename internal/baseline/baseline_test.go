@@ -2,10 +2,13 @@ package baseline
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"coolopt/internal/core"
 	"coolopt/internal/mathx"
+	"coolopt/internal/units"
 )
 
 // testProfile mirrors the heterogeneous profile used by core's tests.
@@ -282,5 +285,36 @@ func TestPlansAreIndependentAllocations(t *testing.T) {
 	a.Loads[0] = math.NaN()
 	if math.IsNaN(b.Loads[0]) {
 		t.Fatal("plans share load slices")
+	}
+}
+
+// TestCoolOrderMatchesStableSort pins the precomputed-key ranking to the
+// stable sort by idle temperature it replaces, on a room where most
+// machines share their idle temperature with others, so the ID
+// tie-break decides much of the order.
+func TestCoolOrderMatchesStableSort(t *testing.T) {
+	base := testProfile().Machines
+	rng := mathx.NewRand(3)
+	p := testProfile()
+	p.Machines = make([]core.MachineProfile, 120)
+	for i := range p.Machines {
+		p.Machines[i] = base[rng.Intn(3)] // three idle temperatures, 40 machines each
+	}
+	p.Machines[17] = base[5]
+	p.Machines[90] = base[4]
+	ref := units.Celsius((p.TAcMinC + p.TAcMaxC) / 2)
+	want := make([]int, p.Size())
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool {
+		return p.CPUTemp(want[a], 0, ref) < p.CPUTemp(want[b], 0, ref)
+	})
+	pl, err := NewPlannerOnProfile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pl.CoolOrder(); !slices.Equal(got, want) {
+		t.Fatalf("cool order\n got %v\nwant %v", got, want)
 	}
 }

@@ -351,7 +351,16 @@ func (ps *PodSnapshot) MaxLoad(budgetW float64) (MaxLoadResult, error) {
 // the clamped room score until none remains or the iteration budget runs
 // out. Starting from the exact optimum no move improves (front sets are
 // optimal per §III-B), which keeps the single-leaf path untouched; from
-// a pod union the pass closes most of the boundary gap at O(n) per move.
+// a pod union the pass closes most of the boundary gap.
+//
+// Each move needs only the top outsider and the bottom insider at the
+// current t. Two kinetic tournaments (tournament.go) supply them: built
+// once per call in O(n), then a move re-evaluates only the tree nodes
+// whose certified t-interval the new t left, plus one root path per
+// membership change — instead of scanning all n machines. Nodes compare
+// lines with the scan's own A − t*B and ascending-ID tie-break, and
+// trust a winner only while t stays farther from the crossing than
+// rounding can reach, so the unions are exactly the scan's.
 func (pt *planTree) refineUnion(union []int, load float64) []int {
 	return pt.refineUnionBlocked(union, load, nil)
 }
@@ -399,26 +408,30 @@ func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool
 	if !ok {
 		return union // leave infeasible aggregates to SolveBounded's diagnostics
 	}
+	// Best addition: the unused, unblocked machine with the largest
+	// coordinate; best removal: the used machine with the smallest. Two
+	// kinetic tournaments (tournament.go) track both as t moves, with the
+	// lowest ID winning ties.
+	unblocked := func(i int) bool { return blocked == nil || !blocked[i] }
+	out := make([]bool, n)
+	for i := range out {
+		out[i] = !in[i] && unblocked(i)
+	}
+	t := (sumA - load) / sumB
+	adds := newLineTournament(r.Pairs, out, true, t)
+	rems := newLineTournament(r.Pairs, in, false, t)
+	// toggle moves machine i across the union boundary in both trees,
+	// which are valid at t after this move's best calls.
+	toggle := func(i int) {
+		in[i] = !in[i]
+		out[i] = !in[i] && unblocked(i)
+		adds.fix(i, t)
+		rems.fix(i, t)
+	}
 	maxMoves := 4*len(pt.pods) + 8
 	for move := 0; move < maxMoves; move++ {
-		t := (sumA - load) / sumB
-		// Best addition: the unused machine with the largest coordinate;
-		// best removal: the used machine with the smallest. Ascending scan
-		// with strict comparisons keeps ties deterministic.
-		addIdx, remIdx := -1, -1
-		var addX, remX float64
-		for i := 0; i < n; i++ {
-			x := r.Pairs[i].A - t*r.Pairs[i].B
-			if in[i] {
-				if remIdx < 0 || x < remX {
-					remIdx, remX = i, x
-				}
-			} else if blocked != nil && blocked[i] {
-				continue
-			} else if addIdx < 0 || x > addX {
-				addIdx, addX = i, x
-			}
-		}
+		t = (sumA - load) / sumB
+		addIdx, remIdx := adds.best(t), rems.best(t)
 		bestIdx, bestAdd := -1, false
 		bestPower := cur
 		if addIdx >= 0 {
@@ -445,18 +458,19 @@ func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool
 		}
 		switch {
 		case swap:
-			in[remIdx], in[addIdx] = false, true
+			toggle(remIdx)
+			toggle(addIdx)
 			sumA += r.Pairs[addIdx].A - r.Pairs[remIdx].A
 			sumB += r.Pairs[addIdx].B - r.Pairs[remIdx].B
 		case bestIdx < 0:
 			return unionFromMask(in, k)
 		case bestAdd:
-			in[bestIdx] = true
+			toggle(bestIdx)
 			sumA += r.Pairs[bestIdx].A
 			sumB += r.Pairs[bestIdx].B
 			k++
 		default:
-			in[bestIdx] = false
+			toggle(bestIdx)
 			sumA -= r.Pairs[bestIdx].A
 			sumB -= r.Pairs[bestIdx].B
 			k--

@@ -54,6 +54,21 @@ func (p *Profile) Solve(on []int, totalLoad float64) (*Plan, error) {
 		return nil, fmt.Errorf("core: negative total load %v", totalLoad)
 	}
 
+	loads := make([]float64, p.Size())
+	tAc, clamped, err := p.closedForm(on, totalLoad, loads)
+	if err != nil {
+		return nil, err
+	}
+	onCopy := append([]int(nil), on...)
+	sort.Ints(onCopy)
+	return &Plan{On: onCopy, Loads: loads, TAcC: units.Celsius(tAc), Clamped: clamped}, nil
+}
+
+// closedForm is Solve's arithmetic without its checks or allocations: it
+// writes Eq. 22's load for every machine of on into loads (other entries
+// are left as they are) and returns Eq. 21's supply temperature, clamped
+// to the actuation maximum, and whether it was clamped.
+func (p *Profile) closedForm(on []int, totalLoad float64, loads []float64) (float64, bool, error) {
 	// Σ K_i and Σ α_i/β_i over the on set.
 	var sumK, sumAB float64
 	for _, i := range on {
@@ -71,20 +86,16 @@ func (p *Profile) Solve(on []int, totalLoad float64) (*Plan, error) {
 	if tAc < p.TAcMinC {
 		// Even the coldest supply cannot keep every CPU at T_max
 		// with this load on this set.
-		return nil, fmt.Errorf("%w: optimal supply %.2f °C below actuator minimum %.2f °C",
+		return 0, false, fmt.Errorf("%w: optimal supply %.2f °C below actuator minimum %.2f °C",
 			ErrInfeasible, p.W1*(sumK-totalLoad)/sumAB, p.TAcMinC)
 	}
 
-	loads := make([]float64, p.Size())
 	surplus := sumK - totalLoad
 	for _, i := range on {
 		// Eq. 22: L_i = K_i − (Σ K_j − L)·(α_i/β_i)/Σ(α_j/β_j).
 		loads[i] = p.K(i) - surplus*p.RatioAB(i)/sumAB
 	}
-
-	onCopy := append([]int(nil), on...)
-	sort.Ints(onCopy)
-	return &Plan{On: onCopy, Loads: loads, TAcC: units.Celsius(tAc), Clamped: clamped}, nil
+	return tAc, clamped, nil
 }
 
 // SolveBounded runs Solve and then repairs any allocation that violates
@@ -103,38 +114,39 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 		return nil, fmt.Errorf("%w: load %v exceeds capacity of %d machines", ErrInfeasible, totalLoad, len(on))
 	}
 
-	pinned := make(map[int]float64)
+	// The active set: pinned marks the machines held at a bound, whose
+	// load is written once. One loads slice serves every closed-form
+	// round, which rewrites only the free machines (entries outside on
+	// stay 0). rest is the load the pinned machines leave to the free.
+	pinned := make([]bool, p.Size())
+	loads := make([]float64, p.Size())
+	rest := totalLoad
 	free := append([]int(nil), on...)
 	for iter := 0; iter <= len(on); iter++ {
-		residual := totalLoad
-		for _, v := range pinned {
-			residual -= v
-		}
 		if len(free) == 0 {
 			break
 		}
+		residual := rest
 		if residual < 0 {
 			residual = 0
 		}
-		plan, err := p.Solve(free, residual)
+		tAc, clamped, err := p.closedForm(free, residual, loads)
 		if err != nil {
 			return nil, err
 		}
 		violated := false
 		for _, i := range free {
-			if plan.Loads[i] < -1e-12 {
-				pinned[i] = 0
+			if loads[i] < -1e-12 {
+				loads[i], pinned[i] = 0, true
 				violated = true
-			} else if plan.Loads[i] > 1+1e-12 {
-				pinned[i] = 1
+			} else if loads[i] > 1+1e-12 {
+				loads[i], pinned[i] = 1, true
+				rest--
 				violated = true
 			}
 		}
 		if !violated {
-			for i, v := range pinned {
-				plan.Loads[i] = v
-			}
-			plan.On = append([]int(nil), on...)
+			plan := &Plan{On: append([]int(nil), on...), Loads: loads, TAcC: units.Celsius(tAc), Clamped: clamped}
 			sort.Ints(plan.On)
 			// Pinned machines may sit above T_max at the free-set
 			// T_ac; lower T_ac to the max safe value if needed.
@@ -150,7 +162,7 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 		}
 		next := free[:0]
 		for _, i := range free {
-			if _, ok := pinned[i]; !ok {
+			if !pinned[i] {
 				next = append(next, i)
 			}
 		}
@@ -158,11 +170,9 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 	}
 
 	// Everything pinned: feasible only if the pins absorb the load.
-	loads := make([]float64, p.Size())
 	var sum float64
-	for i, v := range pinned {
-		loads[i] = v
-		sum += v
+	for _, i := range on {
+		sum += loads[i]
 	}
 	if math.Abs(sum-totalLoad) > 1e-6 {
 		return nil, fmt.Errorf("%w: box constraints cannot absorb load %v", ErrInfeasible, totalLoad)

@@ -2,8 +2,12 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"coolopt/internal/baseline"
@@ -228,12 +232,36 @@ func TestMaxLoadAndConsolidate(t *testing.T) {
 	}
 }
 
+// planThroughInstalls is Plan for the install race checks: a cache miss
+// that lands inside an install's own state build is shed with
+// ErrOverloaded by design (InstallHierarchical), and every install drops
+// the cache, so a request shed while installs are still running is
+// retried. The engines these tests build have no in-flight cap and no
+// deadlines, so once installsDone is set (after the last install has
+// returned) nothing may shed: an ErrOverloaded from a Plan that started
+// after that is returned at once, as is any other error.
+func planThroughInstalls(ctx context.Context, e *Engine, req Request, installsDone *atomic.Bool) (*Response, error) {
+	for {
+		done := installsDone.Load()
+		resp, err := e.Plan(ctx, req)
+		if !errors.Is(err, ErrOverloaded) {
+			return resp, err
+		}
+		if done {
+			return nil, fmt.Errorf("shed after the last install returned: %w", err)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestConcurrentPlanDuringInstall is the race check the serving layer is
 // built around: many goroutines hammer Plan while the main goroutine
 // keeps installing fresh snapshots with increasing epochs. Run with
 // -race this verifies readers never observe a torn (snapshot, planner)
 // pair; the epoch stamp proves each answer came from some installed
-// snapshot.
+// snapshot. Every query must end in an answer: misses shed while installs
+// are running are retried, and none may be shed after the last install
+// (planThroughInstalls).
 func TestConcurrentPlanDuringInstall(t *testing.T) {
 	const (
 		workers  = 8
@@ -244,6 +272,7 @@ func TestConcurrentPlanDuringInstall(t *testing.T) {
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
+	var installsDone atomic.Bool
 	errs := make(chan error, workers)
 	maxEpoch := make(chan uint64, workers)
 	for w := 0; w < workers; w++ {
@@ -262,7 +291,7 @@ func TestConcurrentPlanDuringInstall(t *testing.T) {
 					req.AchievedSupplyC = 20
 					req.MarginC = 2
 				}
-				resp, err := e.Plan(ctx, req)
+				resp, err := planThroughInstalls(ctx, e, req, &installsDone)
 				if err != nil {
 					errs <- err
 					return
@@ -283,6 +312,7 @@ func TestConcurrentPlanDuringInstall(t *testing.T) {
 			t.Fatalf("install %d: %v", i, err)
 		}
 	}
+	installsDone.Store(true)
 	wg.Wait()
 	close(errs)
 	close(maxEpoch)
@@ -533,7 +563,8 @@ func TestInstallHierarchicalEpochMismatch(t *testing.T) {
 // hierarchical queries while the main goroutine keeps installing
 // (snapshot, pods) generations. Run with -race this verifies readers
 // never observe a torn state and every answer is stamped with some
-// installed epoch.
+// installed epoch; misses shed while installs are running are retried,
+// and none may be shed after the last install.
 func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 	const (
 		workers  = 8
@@ -548,6 +579,7 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
+	var installsDone atomic.Bool
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -561,7 +593,7 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 				case 2:
 					req.Avoid = []int{w % n}
 				}
-				resp, err := e.Plan(ctx, req)
+				resp, err := planThroughInstalls(ctx, e, req, &installsDone)
 				if err != nil {
 					errs <- err
 					return
@@ -578,6 +610,7 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 			t.Fatalf("install %d: %v", i, err)
 		}
 	}
+	installsDone.Store(true)
 	wg.Wait()
 	close(errs)
 	if err := <-errs; err != nil {
