@@ -18,10 +18,12 @@ GO ?= go
 # patch-install path — the small benchmark run checks Snapshot.Patch
 # speed and bit-identity, and the incremental chaos smoke replays served
 # answers against the exact generation their epoch claims while installs
-# trickle; cover ratchets combined internal/core + internal/engine
+# trickle; perfbench-smoke runs the end-to-end benchmark's zipf-http
+# workload for a second and fails on any wrong answer or failed
+# operation; cover ratchets combined internal/core + internal/engine
 # statement coverage against the committed coverage_baseline.json.
 .PHONY: ci
-ci: fmt-check vet lint race build serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke cover
+ci: fmt-check vet lint race build serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke perfbench-smoke cover
 
 .PHONY: build
 build:
@@ -159,6 +161,21 @@ incremental-smoke:
 .PHONY: incremental-chaos-smoke
 incremental-chaos-smoke:
 	$(GO) run ./cmd/paperbench -incremental-chaos -incremental-n 64 -incremental-pods 4
+
+# perfbench-smoke runs perfbench's zipf-http workload (the profiled 4×16
+# row served over loopback HTTP) for one second and fails unless its
+# last line reports "correct":true and "failed":0. Each round sweeps 256
+# demand levels comparing the paper's solution (#8) with all-on (#6), so
+# this also guards the single-leaf planner against drawing more power
+# than all-on. The build cache and binary stay under .bench_build/.
+.PHONY: perfbench-smoke
+perfbench-smoke:
+	@out=$$(bash perfbench/run.sh --workload zipf-http --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+	if echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0,'; then \
+		echo "perfbench-smoke: correct, no failed operations"; \
+	else \
+		echo "perfbench-smoke: want \"correct\":true and \"failed\":0, got:"; echo "$$out"; exit 1; \
+	fi
 
 # cover runs the full test suite with atomic coverage and ratchets the
 # combined internal/core + internal/engine statement coverage against

@@ -58,41 +58,23 @@ func (pp *Preprocessed) maxLoadBoundary(budgetW float64, k int) (load, t float64
 	if r.W1 <= 0 || r.Rho <= 0 {
 		return 0, 0, 0, fmt.Errorf("core: reduced instance missing W1/Rho")
 	}
-	// L(t) along the budget boundary.
-	loadAt := func(t float64) float64 {
-		return (budgetW - float64(k)*r.W2 - r.CoolFactor*r.SetPointC + r.Rho*t) / r.W1
-	}
-	frontAt := func(e int, t float64) float64 {
-		j := pp.pieceFor(k, e)
-		return pp.segA[j] - t*pp.segB[j]
-	}
-
-	// The crossing g(t) = front(t) − L(t) is strictly decreasing; find
-	// the last event with g ≥ 0 and solve inside its interval.
-	g := func(e int) float64 { return frontAt(e, pp.events[e]) - loadAt(pp.events[e]) }
-	if g(0) < 0 {
+	// L(t) along the budget boundary: the crossing g(t) = front(t) − L(t)
+	// is strictly decreasing; find the last event with g ≥ 0 and solve
+	// inside its interval.
+	bl := &budgetLine{c: budgetW - float64(k)*r.W2 - r.CoolFactor*r.SetPointC, rho: r.Rho, w1: r.W1}
+	j, e, ok := pp.lastCovered(k, 0, bl)
+	if !ok {
 		// Budget cannot even cover the configuration at t = 0 for any
 		// positive load on this k.
-		if loadAt(0) < 0 {
+		if bl.loadAt(0) < 0 {
 			return 0, 0, 0, fmt.Errorf("%w: budget %v W below the %d-machine floor", ErrInfeasible, budgetW, k)
 		}
 		// Load is capped by the front sum at t = 0 rather than the
 		// budget; serving less than loadAt(0) stays under budget.
-		return frontAt(0, 0), 0, 0, nil
+		return pp.segA[j], 0, 0, nil
 	}
-	lo, hi := 0, len(pp.events)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if g(mid) >= 0 {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	e := lo
-	// Solve segA − t·segB = loadAt(t) inside interval e.
-	j := pp.pieceFor(k, e)
-	num := pp.segA[j] - (budgetW-float64(k)*r.W2-r.CoolFactor*r.SetPointC)/r.W1
+	// Solve segA − t·segB = L(t) inside interval e.
+	num := pp.segA[j] - bl.c/r.W1
 	den := pp.segB[j] + r.Rho/r.W1
 	tStar := num / den
 	if tStar < pp.events[e] {
@@ -101,7 +83,7 @@ func (pp *Preprocessed) maxLoadBoundary(budgetW float64, k int) (load, t float64
 	if e+1 < len(pp.events) && tStar > pp.events[e+1] {
 		tStar = pp.events[e+1]
 	}
-	return loadAt(tStar), tStar, e, nil
+	return bl.loadAt(tStar), tStar, e, nil
 }
 
 // MaxLoad answers the budget question over every machine count with a

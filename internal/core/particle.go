@@ -252,26 +252,68 @@ func (pp *Preprocessed) OrderAtEvent(e int) ([]int, error) {
 	return orderAt(pp.reduced.Pairs, pp.sampleTime(e)), nil
 }
 
-// pieceFor returns the arena index of the S_k piece covering event
-// interval e.
-func (pp *Preprocessed) pieceFor(k, e int) int {
-	lo, hi := pp.segOff[k-1], pp.segOff[k]-1
+// budgetLine is the load a power budget allows at particle time t along
+// the budget boundary, L(t) = (c + ρ·t)/w1 with c = P_b − k·w2 − f·T_SP
+// (see maxload.go). It rises in t while S_k falls.
+type budgetLine struct{ c, rho, w1 float64 }
+
+func (bl *budgetLine) loadAt(t float64) float64 { return (bl.c + bl.rho*t) / bl.w1 }
+
+// lastCovered finds the last event e at which S_k still covers the
+// demand and the arena index j of the piece covering it: S_k ≥ load, or
+// S_k − L(t) ≥ 0 along a budget line when bl is non-nil. ok is false
+// when event 0 fails already. Both forms are true on a prefix of the
+// event grid because S_k falls and L(t) rises.
+//
+// The search runs over pieces first: one binary search over k's own
+// pieces, each probed at its start event, finds the last piece that
+// still covers, and a second runs over that piece's events alone with
+// its fixed (a, b) — lg P_k + lg(events in one piece) probes, with no
+// piece lookup per probe. Every probe evaluates S_k at an event with the
+// piece covering that event (piece start events are unique per k), so
+// wherever the covered events form a prefix the answer is a plain
+// bisection of the event grid's, bit for bit (lookup_test.go).
+func (pp *Preprocessed) lastCovered(k int, load float64, bl *budgetLine) (j, e int, ok bool) {
+	covers := func(v, t float64) bool {
+		if bl != nil {
+			return v-bl.loadAt(t) >= 0
+		}
+		return v >= load
+	}
+	lo, end := pp.segOff[k-1], pp.segOff[k]
+	// Event 0 is tested for failure, not for cover: a NaN demand does
+	// neither, so it searches on and the callers' arithmetic carries
+	// the NaN into their results.
+	v, t := pp.segA[lo]-pp.events[0]*pp.segB[lo], pp.events[0]
+	if bl != nil && v-bl.loadAt(t) < 0 || bl == nil && v < load {
+		return lo, 0, false
+	}
+	hi := end - 1
 	for lo < hi {
 		mid := int(uint(lo+hi+1) >> 1)
-		if int(pp.segEvent[mid]) <= e {
+		t := pp.events[pp.segEvent[mid]]
+		if covers(pp.segA[mid]-t*pp.segB[mid], t) {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	return lo
-}
-
-// sumAt evaluates S_k at event time events[e] — the k-prefix coordinate
-// sum the dense table stores as prefixA[e][k] − t·prefixB[e][k].
-func (pp *Preprocessed) sumAt(k, e int) float64 {
-	j := pp.pieceFor(k, e)
-	return pp.segA[j] - pp.events[e]*pp.segB[j]
+	j = lo
+	a, b := pp.segA[j], pp.segB[j]
+	lo, hi = int(pp.segEvent[j]), len(pp.events)-1
+	if j+1 < end {
+		hi = int(pp.segEvent[j+1]) - 1
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		t := pp.events[mid]
+		if covers(a-t*b, t) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return j, lo, true
 }
 
 // frontSet returns the k front-most machine IDs on event interval e in
@@ -325,21 +367,16 @@ func (pp *Preprocessed) Query(load float64) (Selection, error) {
 	n := len(pp.reduced.Pairs)
 	bestVal := math.Inf(1)
 	bestK, bestE := 0, 0
+	// S_k > load is S_k ≥ the next float up, for every load (a NaN
+	// stays NaN and compares the same way in both forms).
+	above := math.Nextafter(load, math.Inf(1))
 	for k := 1; k <= n; k++ {
-		if pp.sumAt(k, 0) <= load {
+		j, e, ok := pp.lastCovered(k, above, nil)
+		if !ok {
 			continue // S_k never exceeds the load (non-increasing over events)
 		}
-		lo, hi := 0, len(pp.events)-1
-		for lo < hi {
-			mid := int(uint(lo+hi+1) >> 1)
-			if pp.sumAt(k, mid) > load {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		if v := pp.sumAt(k, lo); v < bestVal {
-			bestVal, bestK, bestE = v, k, lo
+		if v := pp.segA[j] - pp.events[e]*pp.segB[j]; v < bestVal {
+			bestVal, bestK, bestE = v, k, e
 		}
 	}
 	if math.IsInf(bestVal, 1) {
@@ -360,10 +397,10 @@ func (pp *Preprocessed) Query(load float64) (Selection, error) {
 // For each k, the maximum k-subset coordinate sum S_k(t) is continuous,
 // strictly decreasing and piecewise linear in t with breakpoints only at
 // event times, so the optimal t for that k — the largest t with
-// S_k(t) ≥ load — is found by binary-searching the event grid and solving
+// S_k(t) ≥ load — is found by the piece-first search (lastCovered) and
 // one linear equation inside the bracketing interval. The subset is the k
-// front-most particles there. Runtime O(n·lg² n) per query after
-// preprocessing.
+// front-most particles there. Runtime O(n lg n) per query after
+// preprocessing: O(lg n) per k, plus the winner's k rank searches.
 func (pp *Preprocessed) QueryExact(load float64, minK int) (Selection, error) {
 	if minK < 1 {
 		minK = 1
@@ -413,24 +450,12 @@ func (pp *Preprocessed) QueryExactK(load float64, k int) (Selection, error) {
 // interval containing t. ok is false when even t = 0 is infeasible for
 // this k.
 func (pp *Preprocessed) bestTimeFor(k int, load float64) (t float64, event int, ok bool) {
-	if pp.sumAt(k, 0) < load {
+	j, e, ok := pp.lastCovered(k, load, nil)
+	if !ok {
 		return 0, 0, false
 	}
-	// Find the last event whose k-prefix sum still covers the load;
-	// sums at event times are non-increasing in the event index.
-	lo, hi := 0, len(pp.events)-1
-	for lo < hi {
-		mid := int(uint(lo+hi+1) >> 1)
-		if pp.sumAt(k, mid) >= load {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	e := lo
 	// Within [events[e], events[e+1]) the k-set is fixed; solve
 	// segA − t·segB = load on that piece.
-	j := pp.pieceFor(k, e)
 	tStar := (pp.segA[j] - load) / pp.segB[j]
 	if tStar < pp.events[e] {
 		tStar = pp.events[e]

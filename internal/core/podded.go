@@ -122,7 +122,7 @@ type pod struct {
 // concurrently-queryable view of a machine room whose consolidation
 // tables are sharded into pod leaves under a recursive planner tree
 // (unit.go). It trades a bounded optimality gap for a near-linear build
-// and a per-query cost of p·O((n/p)·lg²(n/p)) instead of O(n·lg² n)
+// and a per-query cost of p·O((n/p)·lg(n/p)) instead of O(n·lg n)
 // over a p×-larger event set — which is what lifts the whole-room
 // DefaultMaxMachines cap. Depth 2 is the classic pod split; depth 3
 // groups the pods into pods of pods for fleet-scale rooms.

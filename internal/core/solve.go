@@ -107,11 +107,18 @@ func (p *Profile) closedForm(on []int, totalLoad float64, loads []float64) (floa
 // the paper's. Pinned-at-zero machines remain powered on (deciding to turn
 // them off is consolidation's job).
 func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
+	plan, _, err := p.solveBounded(on, totalLoad)
+	return plan, err
+}
+
+// solveBounded is SolveBounded that also reports whether the box repair
+// pinned any machine at 0 or 1.
+func (p *Profile) solveBounded(on []int, totalLoad float64) (*Plan, bool, error) {
 	if err := p.checkOnSet(on); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if totalLoad > float64(len(on))+1e-9 {
-		return nil, fmt.Errorf("%w: load %v exceeds capacity of %d machines", ErrInfeasible, totalLoad, len(on))
+		return nil, false, fmt.Errorf("%w: load %v exceeds capacity of %d machines", ErrInfeasible, totalLoad, len(on))
 	}
 
 	// The active set: pinned marks the machines held at a bound, whose
@@ -132,7 +139,7 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 		}
 		tAc, clamped, err := p.closedForm(free, residual, loads)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		violated := false
 		for _, i := range free {
@@ -152,13 +159,13 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 			// T_ac; lower T_ac to the max safe value if needed.
 			safe, err := p.MaxSafeTAc(plan.On, plan.Loads)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+				return nil, false, fmt.Errorf("%w: %v", ErrInfeasible, err)
 			}
 			if safe < plan.TAcC {
 				plan.TAcC = safe
 				plan.Clamped = true
 			}
-			return plan, nil
+			return plan, iter > 0, nil
 		}
 		next := free[:0]
 		for _, i := range free {
@@ -175,15 +182,15 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 		sum += loads[i]
 	}
 	if math.Abs(sum-totalLoad) > 1e-6 {
-		return nil, fmt.Errorf("%w: box constraints cannot absorb load %v", ErrInfeasible, totalLoad)
+		return nil, false, fmt.Errorf("%w: box constraints cannot absorb load %v", ErrInfeasible, totalLoad)
 	}
 	onCopy := append([]int(nil), on...)
 	sort.Ints(onCopy)
 	safe, err := p.MaxSafeTAc(onCopy, loads)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInfeasible, err)
+		return nil, false, fmt.Errorf("%w: %v", ErrInfeasible, err)
 	}
-	return &Plan{On: onCopy, Loads: loads, TAcC: safe, Clamped: true}, nil
+	return &Plan{On: onCopy, Loads: loads, TAcC: safe, Clamped: true}, true, nil
 }
 
 // PlanAllOn returns the minimum-power plan that keeps every machine

@@ -268,14 +268,30 @@ func (pt *planTree) selectUnion(load float64) ([]int, error) {
 // the room's exact closed form over the union, so the load split and
 // supply temperature are exact for the chosen machines and any
 // optimality gap lives in the subset choice alone.
+//
+// A single leaf ranks subset sizes by the unbounded closed form
+// (clampedSelect), which cannot see the 0 ≤ L_i ≤ 1 box. Where the box
+// repair pinned a machine that ranking can be wrong, so all-on — one of
+// the sets the paper's solution searches, which it may therefore never
+// draw more than — is solved too and the cheaper plan wins. Trees of
+// several leaves never take this path.
 func (pt *planTree) plan(load float64) (*Plan, error) {
 	union, err := pt.selectUnion(load)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := pt.profile.SolveBounded(union, load)
+	plan, pinned, err := pt.profile.solveBounded(union, load)
 	if err != nil {
 		return nil, err
+	}
+	if n := pt.profile.Size(); pinned && len(pt.pods) == 1 && len(union) < n {
+		all := make([]int, n)
+		for i := range all {
+			all[i] = i
+		}
+		if allOn, err := pt.profile.SolveBounded(all, load); err == nil && pt.profile.PlanPower(allOn) < pt.profile.PlanPower(plan) {
+			plan = allOn
+		}
 	}
 	if err := pt.profile.ValidatePlan(plan, load, 1e-6); err != nil {
 		return nil, fmt.Errorf("core: %s produced invalid plan: %w", pt.kind(), err)

@@ -305,3 +305,28 @@ func TestApplyRejectsCorruptPlan(t *testing.T) {
 		t.Fatal("corrupt plan accepted")
 	}
 }
+
+// TestConsolidationNoWorseThanAllOnOnProfiledRow pins the box fault the
+// single-leaf planner used to have: on the 4×16 row profiled from room
+// seed 1, at 0.82 of capacity the unbounded ranking picks 63 machines
+// whose box-repaired plan draws more than all 64 on. The paper's solution
+// (#8) searches every on set, so it may never draw more than all-on (#6).
+func TestConsolidationNoWorseThanAllOnOnProfiledRow(t *testing.T) {
+	s, err := coolopt.NewSystem(coolopt.WithSeed(1), coolopt.WithRow(4, 16))
+	if err != nil {
+		t.Fatalf("NewSystem: %v", err)
+	}
+	load := 64 * (0.05 + 0.9*219/255) // ≈ 52.67
+	p := s.Profile()
+	cons, err := s.Snapshot().Plan(load)
+	if err != nil {
+		t.Fatalf("#8 at %v: %v", load, err)
+	}
+	allOn, err := p.PlanAllOn(load)
+	if err != nil {
+		t.Fatalf("#6 at %v: %v", load, err)
+	}
+	if wc, wa := p.PlanPower(cons), p.PlanPower(allOn); wc > wa {
+		t.Fatalf("#8 on %d machines draws %v W, more than #6's %v W", len(cons.On), wc, wa)
+	}
+}
