@@ -15,9 +15,9 @@ import (
 // This file implements -incremental-bench and -incremental-chaos: the
 // measurements for incremental snapshot maintenance. The bench compares
 // applying a k-machine drift batch through PodSnapshot.Patch (only the
-// touched pods' kinetic tables rebuild, untouched pods share their
-// arenas) against rebuilding the planning state from scratch, writing a
-// JSON trajectory (BENCH_incremental.json). The run doubles as a
+// touched pods' kinetic tables rebuild, untouched pods share theirs)
+// against rebuilding the planning state from scratch, writing a JSON
+// trajectory (BENCH_incremental.json). The run doubles as a
 // regression gate: it fails if any k-machine point at the gate size stops
 // beating the full rebuild by -incremental-speedup-floor, or if the
 // pipelined install's commit (the epoch-checked pointer swap) exceeds

@@ -49,7 +49,7 @@ type servingPoint struct {
 	PlanHotQPS  float64 `json:"plan_hot_qps"`
 	PlanZipfQPS float64 `json:"plan_zipf_qps"`
 	// MaxLoadQPS answers §III-B budget queries; ConsolidateQPS answers
-	// raw Eq. 21–22 table queries through the persistent front-set.
+	// raw Eq. 21–22 table queries, each selecting its winning front set.
 	MaxLoadQPS     float64 `json:"maxload_qps"`
 	ConsolidateQPS float64 `json:"consolidate_qps"`
 }

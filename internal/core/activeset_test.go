@@ -14,7 +14,7 @@ import (
 // was with a map of pinned machines and a fresh Solve (and loads slice)
 // per round. It also reports how many closed-form rounds ran.
 func solveBoundedMap(p *Profile, on []int, totalLoad float64) (*Plan, int, error) {
-	if err := p.checkOnSet(on); err != nil {
+	if err := checkOnSet(on, p.Size()); err != nil {
 		return nil, 0, err
 	}
 	if totalLoad > float64(len(on))+1e-9 {

@@ -26,8 +26,8 @@ func smoothReduced(n int) Reduced {
 	return Reduced{Pairs: pairs, W2: 34, Rho: 150 * 52, CoolFactor: 150, SetPointC: 31, W1: 52}
 }
 
-// checkFrontSetsIdentical compares the persistent front-set arena against
-// the on-demand rebuild for the given (event, k) query points.
+// checkFrontSetsIdentical compares the front-set selection against the
+// full-sort rebuild for the given (event, k) query points.
 func checkFrontSetsIdentical(t *testing.T, label string, pp *Preprocessed, events, ks []int) {
 	t.Helper()
 	for _, e := range events {
@@ -46,11 +46,12 @@ func checkFrontSetsIdentical(t *testing.T, label string, pp *Preprocessed, event
 	}
 }
 
-// TestPersistentFrontSetMatchesRebuild is the satellite property test:
-// across n ∈ {64, 256, 1024}, the persistent front-set arena returns
-// byte-identical subsets to the frontSet rebuild the queries used before
-// — on tie-heavy exact-grid instances at the small sizes (exhaustively at
-// n = 64) and on the smooth scaling instance at n = 1024 (sampled).
+// TestPersistentFrontSetMatchesRebuild is the front-set property test:
+// the selection returns byte-identical subsets to the full-sort rebuild —
+// on tie-heavy exact-grid instances at n = 64 (exhaustively) and 256, on
+// the smooth scaling instance at n = 1024 (sampled), and exhaustively on
+// grid rooms whose intercepts are nudged up one ulp at random, where the
+// kinetic sweep's order can go stale across near-tie events.
 func TestPersistentFrontSetMatchesRebuild(t *testing.T) {
 	rng := mathx.NewRand(20260806)
 
@@ -67,15 +68,23 @@ func TestPersistentFrontSetMatchesRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		events := make([]int, pp.Events())
-		ks := make([]int, len(red.Pairs))
-		for e := range events {
-			events[e] = e
+		checkFrontSetsIdentical(t, fmt.Sprintf("grid n=64 trial %d", trial), pp, allInts(0, pp.Events()), allInts(1, len(red.Pairs)+1))
+	}
+
+	nudged := 60
+	if testing.Short() || raceEnabled {
+		nudged = 15
+	}
+	nudgeRng := mathx.NewRand(3)
+	for trial := 0; trial < nudged; trial++ {
+		red := gridReduced(nudgeRng, 2+nudgeRng.Intn(63))
+		for i := range red.Pairs {
+			if nudgeRng.Intn(2) == 0 {
+				red.Pairs[i].A = math.Nextafter(red.Pairs[i].A, math.Inf(1))
+			}
 		}
-		for k := range ks {
-			ks[k] = k + 1
-		}
-		checkFrontSetsIdentical(t, fmt.Sprintf("grid n=64 trial %d", trial), pp, events, ks)
+		pp := mustPreprocess(t, red)
+		checkFrontSetsIdentical(t, fmt.Sprintf("nudged trial %d", trial), pp, allInts(0, pp.Events()), allInts(1, len(red.Pairs)+1))
 	}
 
 	for _, n := range []int{256, 1024} {
@@ -113,20 +122,44 @@ func TestPersistentFrontSetMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestFrontArenaWriteBudget pins the arena's size class: the number of
-// persistent writes stays O(n²) — within a small constant of the crossing
-// count — so the structure does not reintroduce the dense form's O(n³)
-// memory.
-func TestFrontArenaWriteBudget(t *testing.T) {
-	red := smoothReduced(256)
-	pp, err := Preprocess(red)
-	if err != nil {
-		t.Fatal(err)
+// allInts returns lo, lo+1, …, hi−1.
+func allInts(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		out = append(out, v)
 	}
-	n := len(red.Pairs)
-	crossings := n * (n - 1) / 2
-	if pp.FrontWrites() > 3*crossings+n {
-		t.Fatalf("front arena has %d writes for %d crossings; expected ≤ %d",
-			pp.FrontWrites(), crossings, 3*crossings+n)
+	return out
+}
+
+// BenchmarkFrontSet times one front set at fixed random (e, k) on a
+// 512-machine leaf and on a flat 4096-machine table: the selection beside
+// the full-sort oracle.
+func BenchmarkFrontSet(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		red  func() Reduced
+	}{
+		{"leaf-n=512", func() Reduced { return hierProfile(512).Reduce() }},
+		{"flat-n=4096", func() Reduced { return smoothReduced(4096) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			red := tc.red()
+			pp := mustPreprocess(b, red)
+			const queries = 64
+			rng := mathx.NewRand(1)
+			es, ks := make([]int, queries), make([]int, queries)
+			for i := range es {
+				es[i], ks[i] = rng.Intn(pp.Events()), 1+rng.Intn(len(red.Pairs))
+			}
+			run := func(b *testing.B, front func(e, k int) []int) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					q := i % queries
+					front(es[q], ks[q])
+				}
+			}
+			b.Run("select", func(b *testing.B) { run(b, pp.frontSet) })
+			b.Run("rebuild", func(b *testing.B) { run(b, pp.frontSetRebuild) })
+		})
 	}
 }

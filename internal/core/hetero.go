@@ -139,7 +139,7 @@ func (hp *HeteroProfile) PlanPower(pl *Plan) units.Watts {
 // the caps exactly absorb the load, every machine lands on its cap (CPU
 // at T_max), and the result coincides with the paper's closed form.
 func (hp *HeteroProfile) Solve(on []int, totalLoad float64) (*Plan, error) {
-	if err := hp.checkOnSet(on); err != nil {
+	if err := checkOnSet(on, hp.Size()); err != nil {
 		return nil, err
 	}
 	if totalLoad < 0 {
@@ -229,23 +229,6 @@ func (hp *HeteroProfile) Solve(on []int, totalLoad float64) (*Plan, error) {
 	// room has spare thermal capacity at the chosen supply.
 	clamped := capacityAt(tAc) > totalLoad+1e-9
 	return &Plan{On: onCopy, Loads: loads, TAcC: units.Celsius(tAc), Clamped: clamped}, nil
-}
-
-func (hp *HeteroProfile) checkOnSet(on []int) error {
-	if len(on) == 0 {
-		return errors.New("core: empty on set")
-	}
-	seen := make(map[int]bool, len(on))
-	for _, i := range on {
-		if i < 0 || i >= hp.Size() {
-			return fmt.Errorf("core: machine index %d out of range [0, %d)", i, hp.Size())
-		}
-		if seen[i] {
-			return fmt.Errorf("core: duplicate machine index %d", i)
-		}
-		seen[i] = true
-	}
-	return nil
 }
 
 // Homogeneous converts a Profile into the heterogeneous representation

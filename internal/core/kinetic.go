@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"coolopt/internal/mathx"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -30,17 +32,6 @@ type crossing struct {
 type segPiece struct {
 	event int32
 	a, b  float64
-}
-
-// posWrite records that rank `pos` of the particle order is occupied by
-// machine `id` from event interval `event` onward (until the rank's next
-// write). The writes of one block arrive in event order; stitched per
-// rank they form the persistent front-set arena that lets queries read
-// any event's k front-most machines without re-sorting the particles.
-type posWrite struct {
-	event int32
-	pos   int32
-	id    int32
 }
 
 // sweepWorkers resolves the worker-count option.
@@ -178,7 +169,6 @@ func (pp *Preprocessed) buildSegments(crossings []crossing, bucketEnd []int, wor
 		numBlocks = 1
 	}
 	blockOut := make([][][]segPiece, numBlocks)
-	blockWrites := make([][]posWrite, numBlocks)
 	var wg sync.WaitGroup
 	for blk := 0; blk < numBlocks; blk++ {
 		lo := 1 + blk*nEvents/numBlocks
@@ -189,7 +179,7 @@ func (pp *Preprocessed) buildSegments(crossings []crossing, bucketEnd []int, wor
 		wg.Add(1)
 		go func(blk, lo, hi int) {
 			defer wg.Done()
-			blockOut[blk], blockWrites[blk] = sweepBlock(pairs, pp.events, crossings, bucketEnd, lo, hi)
+			blockOut[blk] = sweepBlock(pairs, pp.events, crossings, bucketEnd, lo, hi)
 		}(blk, lo, hi)
 	}
 	wg.Wait()
@@ -236,90 +226,15 @@ func (pp *Preprocessed) buildSegments(crossings []crossing, bucketEnd []int, wor
 		}
 	}
 	pp.segOff[n] = len(pp.segEvent)
-	pp.buildFrontArena(order0, blockWrites)
-}
-
-// buildFrontArena assembles the persistent front-set structure from the
-// initial order and the per-block rank writes. For each rank p the arena
-// holds the (event, machine) assignments in event order, starting with the
-// rank's occupant on interval 0; frontSet answers queries with one binary
-// search per rank instead of re-sorting all n particles.
-func (pp *Preprocessed) buildFrontArena(order0 []int, blockWrites [][]posWrite) {
-	n := len(order0)
-	counts := make([]int, n)
-	for p := range counts {
-		counts[p] = 1 // the initial occupant at event 0
-	}
-	for _, writes := range blockWrites {
-		for _, w := range writes {
-			counts[w.pos]++
-		}
-	}
-	pp.posOff = make([]int, n+1)
-	total := 0
-	for p := 0; p < n; p++ {
-		pp.posOff[p] = total
-		total += counts[p]
-	}
-	pp.posOff[n] = total
-	pp.posEvent = make([]int32, total)
-	pp.posID = make([]int32, total)
-
-	next := make([]int, n)
-	for p := 0; p < n; p++ {
-		next[p] = pp.posOff[p]
-		pp.posEvent[next[p]] = 0
-		pp.posID[next[p]] = int32(order0[p])
-		next[p]++
-	}
-	// Blocks cover disjoint ascending event ranges and each block's writes
-	// are in event order, so appending in block order keeps every rank's
-	// entries sorted by event. A rank repaired twice at the same event
-	// (overlapping widened spans) keeps only the final occupant.
-	for _, writes := range blockWrites {
-		for _, w := range writes {
-			p := w.pos
-			if j := next[p] - 1; pp.posEvent[j] == w.event {
-				pp.posID[j] = w.id
-				continue
-			}
-			pp.posEvent[next[p]] = w.event
-			pp.posID[next[p]] = w.id
-			next[p]++
-		}
-	}
-	// Overwrites leave unused capacity at the tail of a rank's range;
-	// compact so binary searches see exactly the live entries.
-	needCompact := false
-	for p := 0; p < n; p++ {
-		if next[p] != pp.posOff[p+1] {
-			needCompact = true
-			break
-		}
-	}
-	if needCompact {
-		off := make([]int, n+1)
-		events := make([]int32, 0, total)
-		ids := make([]int32, 0, total)
-		for p := 0; p < n; p++ {
-			off[p] = len(events)
-			events = append(events, pp.posEvent[pp.posOff[p]:next[p]]...)
-			ids = append(ids, pp.posID[pp.posOff[p]:next[p]]...)
-		}
-		off[n] = len(events)
-		pp.posOff, pp.posEvent, pp.posID = off, events, ids
-	}
 }
 
 // sweepBlock processes events [lo, hi): it seeds the particle order with
 // a full sort at interval lo−1's midpoint, then for each event repairs
-// the order locally around the crossing particles and records both the
-// subset-size boundaries whose prefix sums changed and the rank writes
-// feeding the persistent front-set arena.
-func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd []int, lo, hi int) ([][]segPiece, []posWrite) {
+// the order locally around the crossing particles and records the
+// subset-size boundaries whose prefix sums changed.
+func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd []int, lo, hi int) [][]segPiece {
 	n := len(pairs)
 	out := make([][]segPiece, n)
-	var writes []posWrite
 
 	order := orderAt(pairs, sampleTimeOf(events, lo-1))
 	pos := make([]int, n)
@@ -355,7 +270,7 @@ func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd 
 			}
 			spans = append(spans, span{s, t})
 		}
-		sort.Slice(spans, func(i, j int) bool { return spans[i].s < spans[j].s })
+		slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.s, y.s) })
 
 		for si := 0; si < len(spans); {
 			s, t := spans[si].s, spans[si].t
@@ -370,10 +285,18 @@ func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd 
 			// Re-sort the block at this interval's midpoint; if the
 			// sorted block is out of order with a neighbour (possible
 			// only under floating-point near-ties), widen and repeat.
+			// slices.SortFunc allocates nothing per event; particleLess
+			// is a strict total order, so any sort gives the same block.
 			for {
 				seg := order[s : t+1]
-				sort.Slice(seg, func(x, y int) bool {
-					return particleLess(pairs, seg[x], seg[y], sampleT)
+				slices.SortFunc(seg, func(x, y int) int {
+					switch {
+					case particleLess(pairs, x, y, sampleT):
+						return -1
+					case particleLess(pairs, y, x, sampleT):
+						return 1
+					}
+					return 0
 				})
 				grew := false
 				if s > 0 && particleLess(pairs, order[s], order[s-1], sampleT) {
@@ -386,14 +309,6 @@ func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd 
 				}
 				if !grew {
 					break
-				}
-			}
-			// Before pos is refreshed it still maps machines to their
-			// pre-repair ranks, so rank i changed occupant exactly when
-			// the machine now at i came from elsewhere.
-			for i := s; i <= t; i++ {
-				if pos[order[i]] != i {
-					writes = append(writes, posWrite{event: int32(e), pos: int32(i), id: int32(order[i])})
 				}
 			}
 			for i := s; i <= t; i++ {
@@ -419,5 +334,5 @@ func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd 
 			}
 		}
 	}
-	return out, writes
+	return out
 }

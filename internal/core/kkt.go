@@ -20,7 +20,7 @@ type Multipliers struct {
 // (hence every constraint active); Validate as well as the tests check
 // that property.
 func (p *Profile) KKT(on []int) (Multipliers, error) {
-	if err := p.checkOnSet(on); err != nil {
+	if err := checkOnSet(on, p.Size()); err != nil {
 		return Multipliers{}, err
 	}
 	var sumAB float64

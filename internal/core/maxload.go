@@ -45,9 +45,9 @@ func (pp *Preprocessed) MaxLoadK(budgetW float64, k int) (MaxLoadResult, error) 
 }
 
 // maxLoadBoundary solves the budget-boundary crossing for exactly k
-// machines without materializing the subset — the front set costs
-// O(k·lg n) rank searches, so callers that sweep k (MaxLoad) defer it to
-// the winning candidate only. Returns the maximum load, the particle time
+// machines without materializing the subset — the front set costs an
+// O(n) selection, so callers that sweep k (MaxLoad) defer it to the
+// winning candidate only. Returns the maximum load, the particle time
 // and the event interval containing it.
 func (pp *Preprocessed) maxLoadBoundary(budgetW float64, k int) (load, t float64, event int, err error) {
 	n := len(pp.reduced.Pairs)
@@ -90,7 +90,7 @@ func (pp *Preprocessed) maxLoadBoundary(budgetW float64, k int) (load, t float64
 // physical capacity cap (no machine holds more than one unit): the
 // maximum serviceable load and the machine set that achieves it. The
 // winning subset is materialized once, after the k sweep — per-k front
-// sets would cost Σk = O(n²) rank searches per query.
+// sets would cost an O(n) selection per k, O(n²) per query.
 func (pp *Preprocessed) MaxLoad(budgetW float64) (MaxLoadResult, error) {
 	n := len(pp.reduced.Pairs)
 	best := MaxLoadResult{Load: math.Inf(-1)}

@@ -114,16 +114,6 @@ type Preprocessed struct {
 	segEvent []int32
 	segA     []float64
 	segB     []float64
-	// Persistent front-set arena, grouped by rank: the (event, machine)
-	// assignments of rank p occupy posEvent/posID[posOff[p]:posOff[p+1]],
-	// ordered by event, starting with the rank's occupant on interval 0.
-	// frontSet answers "the k front-most machines on event interval e"
-	// with k binary searches here instead of re-sorting the particles —
-	// the structure is read-only after Preprocess, so queries are safe
-	// for concurrent use without cloning.
-	posOff   []int
-	posEvent []int32
-	posID    []int32
 	// crossings is the time-sorted crossing list the sweep consumed,
 	// retained only under WithPatchSupport so patch (patch.go) can reuse
 	// the undrifted pairs' entries; nil otherwise. Never read by queries.
@@ -178,18 +168,31 @@ func orderAt(pairs []Pair, t float64) []int {
 	return order
 }
 
-// particleLess is the strict weak order of particles at time t: by
+// particleLess is the strict total order of particles at time t: by
 // decreasing coordinate, ties by increasing speed b, then by ID.
 func particleLess(pairs []Pair, i, j int, t float64) bool {
-	xi := pairs[i].A - pairs[i].B*t
-	xj := pairs[j].A - pairs[j].B*t
-	if !mathx.Same(xi, xj) {
-		return xi > xj
+	return particleAt(pairs, i, t).ahead(particleAt(pairs, j, t))
+}
+
+// particle is machine id's coordinate x and speed b at one time.
+type particle struct {
+	x, b float64
+	id   int
+}
+
+func particleAt(pairs []Pair, i int, t float64) particle {
+	return particle{x: pairs[i].A - pairs[i].B*t, b: pairs[i].B, id: i}
+}
+
+// ahead is particleLess's order: p leads q.
+func (p particle) ahead(q particle) bool {
+	if !mathx.Same(p.x, q.x) {
+		return p.x > q.x
 	}
-	if !mathx.Same(pairs[i].B, pairs[j].B) {
-		return pairs[i].B < pairs[j].B
+	if !mathx.Same(p.b, q.b) {
+		return p.b < q.b
 	}
-	return i < j
+	return p.id < q.id
 }
 
 // sampleTimeOf returns the numerically robust sample point of the order
@@ -219,19 +222,13 @@ func (pp *Preprocessed) StatusCount() int { return len(pp.events) * len(pp.reduc
 // sizes — the O(n²) quantity that replaces the dense O(n³) tables.
 func (pp *Preprocessed) Pieces() int { return len(pp.segEvent) }
 
-// TableBytes returns the resident size of the retained tables (events,
-// segment arena, and persistent front-set arena) in bytes — the memory
-// the structure keeps alive after preprocessing, excluding fixed struct
-// overhead.
+// TableBytes returns the resident size of the retained tables (events
+// and segment arena) in bytes — the memory the structure keeps alive
+// after preprocessing, excluding fixed struct overhead.
 func (pp *Preprocessed) TableBytes() int {
 	return len(pp.events)*8 + len(pp.segOff)*8 + len(pp.segEvent)*4 +
-		len(pp.segA)*8 + len(pp.segB)*8 +
-		len(pp.posOff)*8 + len(pp.posEvent)*4 + len(pp.posID)*4
+		len(pp.segA)*8 + len(pp.segB)*8
 }
-
-// FrontWrites returns the number of entries in the persistent front-set
-// arena — the O(n²) quantity that replaces on-demand order rebuilds.
-func (pp *Preprocessed) FrontWrites() int { return len(pp.posID) }
 
 // PatchSupported reports whether the sorted crossing list was retained
 // (WithPatchSupport), i.e. whether patch can splice instead of rebuilding.
@@ -317,33 +314,58 @@ func (pp *Preprocessed) lastCovered(k int, load float64, bl *budgetLine) (j, e i
 }
 
 // frontSet returns the k front-most machine IDs on event interval e in
-// ascending ID order, read from the persistent front-set arena: one
-// binary search per rank over that rank's write history, so a query
-// allocates only the k-element result and never re-derives particle
-// coordinates. Byte-identical to frontSetRebuild (the on-demand
-// reference), which the property tests enforce.
+// ascending ID order: a quickselect of the top k under particleLess's
+// order at the interval's sample time, O(n) expected. particleLess is a
+// strict total order, so the set is exactly frontSetRebuild's (the
+// property tests enforce it). Buffers are call-local, so queries never
+// write to the Preprocessed and are safe for concurrent use.
 func (pp *Preprocessed) frontSet(e, k int) []int {
+	pairs := pp.reduced.Pairs
+	t := pp.sampleTime(e)
+	ps := make([]particle, len(pairs))
+	for i := range ps {
+		ps[i] = particleAt(pairs, i, t)
+	}
+	selectFront(ps, k)
 	subset := make([]int, k)
-	for p := 0; p < k; p++ {
-		lo, hi := pp.posOff[p], pp.posOff[p+1]-1
-		for lo < hi {
-			mid := int(uint(lo+hi+1) >> 1)
-			if int(pp.posEvent[mid]) <= e {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		subset[p] = int(pp.posID[lo])
+	for i := range subset {
+		subset[i] = ps[i].id
 	}
 	sort.Ints(subset)
 	return subset
 }
 
-// frontSetRebuild is the pre-arena reference implementation of frontSet:
-// re-sort every particle at the interval's sample time and take the k
-// front-most. Kept as the ground truth the persistent arena is
-// property-tested against.
+// selectFront reorders ps so that its first k entries are the k front-most
+// particles, in no particular order: a Lomuto quickselect pivoting on the
+// middle of the range.
+func selectFront(ps []particle, k int) {
+	lo, hi := 0, len(ps)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		ps[mid], ps[hi] = ps[hi], ps[mid]
+		pivot, store := ps[hi], lo
+		for i := lo; i < hi; i++ {
+			if ps[i].ahead(pivot) {
+				ps[store], ps[i] = ps[i], ps[store]
+				store++
+			}
+		}
+		ps[store], ps[hi] = ps[hi], ps[store]
+		// The pivot now holds rank store: the first store entries lead it.
+		switch {
+		case store < k-1:
+			lo = store + 1
+		case store > k:
+			hi = store - 1
+		default:
+			return
+		}
+	}
+}
+
+// frontSetRebuild is the reference implementation of frontSet: re-sort
+// every particle at the interval's sample time and take the k front-most.
+// Kept as the ground truth the selection is property-tested against.
 func (pp *Preprocessed) frontSetRebuild(e, k int) []int {
 	order := orderAt(pp.reduced.Pairs, pp.sampleTime(e))
 	subset := order[:k:k]
@@ -400,7 +422,8 @@ func (pp *Preprocessed) Query(load float64) (Selection, error) {
 // S_k(t) ≥ load — is found by the piece-first search (lastCovered) and
 // one linear equation inside the bracketing interval. The subset is the k
 // front-most particles there. Runtime O(n lg n) per query after
-// preprocessing: O(lg n) per k, plus the winner's k rank searches.
+// preprocessing: O(lg n) per k, plus one O(n) selection of the winner's
+// front set.
 func (pp *Preprocessed) QueryExact(load float64, minK int) (Selection, error) {
 	if minK < 1 {
 		minK = 1

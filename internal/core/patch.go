@@ -15,7 +15,7 @@ import (
 //
 // The contract is strict bit-identity: Patch must produce exactly the
 // bytes a from-scratch NewSnapshot/NewPodSnapshot over the patched
-// profile would — tables, arena ranks, and every plan computed on them.
+// profile would — tables, and every plan computed on them.
 // That rules out value-level shortcuts (float sums are order-dependent,
 // so "subtract the old A, add the new one" drifts by ulps) and dictates
 // the structure-level one used here:
@@ -39,13 +39,13 @@ import (
 //   - Pod tables. This is the fast path, and the reason the hierarchy
 //     pays twice: a drifted machine sits in exactly one pod leaf, so only
 //     that leaf's O((n/p)²) kinetic tables rebuild; every other leaf's
-//     segment and front-set arenas are shared with the old snapshot by
+//     event grid and segment arena are shared with the old snapshot by
 //     reference. The Eq. 21–22 aggregates (A_j, B_j, shares, the
 //     share-scaled cooling leverage Rho_j) are all O(n) scalars
 //     re-derived with the exact loops NewPodSnapshot runs, so they too
 //     are bit-identical — shares shift for every pod when any machine's
 //     B drifts, but the kinetic tables depend only on the pod's own
-//     pairs, which is why sharing the untouched arenas is safe. The
+//     pairs, which is why sharing the untouched tables is safe. The
 //     planner tree is rebuilt to the receiver's shape (same leaves, same
 //     depth) over the new leaves.
 //
@@ -298,7 +298,7 @@ func (pp *Preprocessed) patch(r2 Reduced, ids []int, cfg preprocessConfig) (*Pre
 // coefficients replaced, tagged with the next epoch. Only the pods
 // containing drifted machines rebuild their kinetic tables — all of them
 // when the batch carries power-model drift, since every K_i moves — and
-// every other pod shares its segment and front-set arenas with the
+// every other pod shares its event grid and segment arena with the
 // receiver, with the cheap Eq. 21–22 aggregates (sums, shares,
 // share-scaled cooling leverage) re-derived for all pods with
 // NewPodSnapshot's exact loops. The planner tree is rebuilt to the
@@ -347,7 +347,7 @@ func (ps *PodSnapshot) Patch(drifted []MachineDelta, opts ...PodOption) (*PodSna
 			touched = append(touched, j)
 		} else {
 			// The kinetic tables depend only on the pod's pairs, all
-			// unchanged here — share the arenas, re-head the reduced
+			// unchanged here — share the tables, re-head the reduced
 			// scalars (the share did change).
 			pre := *old.pre
 			pre.reduced = npd.reduced

@@ -87,7 +87,7 @@ func equalInt32s(t *testing.T, label string, got, want []int32) {
 }
 
 // equalTables asserts every retained query structure is byte-identical:
-// event grid, segment-piece arena, and persistent front-set arena. The
+// event grid, segment-piece arena, and the pairs front sets select. The
 // retained crossing list is deliberately NOT compared — a patch's merge
 // may permute exact-time ties relative to a fresh full sort, which the
 // sweep provably cannot observe; the t-sequence equality is implied by
@@ -99,9 +99,6 @@ func equalTables(t *testing.T, label string, got, want *Preprocessed) {
 	equalInt32s(t, label+" segEvent", got.segEvent, want.segEvent)
 	bitsEqualFloats(t, label+" segA", got.segA, want.segA)
 	bitsEqualFloats(t, label+" segB", got.segB, want.segB)
-	equalInts(t, label+" posOff", got.posOff, want.posOff)
-	equalInt32s(t, label+" posEvent", got.posEvent, want.posEvent)
-	equalInt32s(t, label+" posID", got.posID, want.posID)
 	gp, wp := got.reduced.Pairs, want.reduced.Pairs
 	if len(gp) != len(wp) {
 		t.Fatalf("%s pairs: length %d vs %d", label, len(gp), len(wp))

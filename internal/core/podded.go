@@ -13,7 +13,7 @@ import (
 // parallel table build, and the room-level union refinement helpers.
 //
 // The room is partitioned into contiguous pods (the tree's leaves). Each
-// pod builds its own kinetic front-set tables over its n_j machines —
+// pod builds its own kinetic tables over its n_j machines —
 // p·(n/p)² events instead of n², so the build parallelizes across pods
 // and the event set shrinks by ~p. Queries compose hierarchically:
 //

@@ -157,8 +157,7 @@ func TestPodBuildWorkerInvariance(t *testing.T) {
 		}
 		for j := range base.pods {
 			a, b := base.pods[j].pre, other.pods[j].pre
-			if len(a.events) != len(b.events) || len(a.segA) != len(b.segA) ||
-				len(a.posID) != len(b.posID) {
+			if len(a.events) != len(b.events) || len(a.segA) != len(b.segA) {
 				t.Fatalf("workers=%d pod %d: table shapes differ", workers, j)
 			}
 			for i := range a.events {
@@ -171,11 +170,6 @@ func TestPodBuildWorkerInvariance(t *testing.T) {
 					math.Float64bits(a.segB[i]) != math.Float64bits(b.segB[i]) ||
 					a.segEvent[i] != b.segEvent[i] {
 					t.Fatalf("workers=%d pod %d: segment %d differs", workers, j, i)
-				}
-			}
-			for i := range a.posID {
-				if a.posID[i] != b.posID[i] || a.posEvent[i] != b.posEvent[i] {
-					t.Fatalf("workers=%d pod %d: front-arena entry %d differs", workers, j, i)
 				}
 			}
 		}

@@ -21,9 +21,9 @@ type clampBounds struct {
 // tAc = W1·t is clamped into the actuation range (the paper's Eq. 23
 // scores the unclamped value, which would over-reward subsets that cannot
 // actually raise the supply any further), and the candidate is scored as
-// cooling + W1·load + k·W2. The front set is materialized once, for the
-// winning k only — per-k front sets would cost Σk = O(n²) rank searches
-// per query, the old cold-path wall.
+// cooling + W1·load + k·W2. The front set is selected once, for the
+// winning k only — an O(n) selection per k would make the sweep O(n²)
+// per query.
 func clampedSelect(pre *Preprocessed, load float64, b clampBounds) ([]int, bool) {
 	n := len(pre.reduced.Pairs)
 	minK := int(math.Ceil(load - 1e-9))

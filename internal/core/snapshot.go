@@ -3,8 +3,7 @@ package core
 // Snapshot is an immutable view of a profiled machine room: the
 // per-machine thermal constants of Eq. 19 (α_i, β_i, γ_i and the derived
 // K_i), the room-wide power and cooling models of Eqs. 9–10, and the
-// consolidation tables of Algorithms 1–2 in their compressed kinetic form
-// with the persistent front-set arena.
+// consolidation tables of Algorithms 1–2 in their compressed kinetic form.
 //
 // A Snapshot is frozen at construction: NewSnapshot deep-copies the
 // profile and every query path is read-only, so one Snapshot may be

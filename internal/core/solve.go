@@ -47,7 +47,7 @@ var ErrInfeasible = errors.New("core: infeasible")
 // for the repaired variant) but it does clamp T_ac into the actuation
 // bounds, recomputing nothing else, and flags the clamp.
 func (p *Profile) Solve(on []int, totalLoad float64) (*Plan, error) {
-	if err := p.checkOnSet(on); err != nil {
+	if err := checkOnSet(on, p.Size()); err != nil {
 		return nil, err
 	}
 	if totalLoad < 0 {
@@ -114,7 +114,7 @@ func (p *Profile) SolveBounded(on []int, totalLoad float64) (*Plan, error) {
 // solveBounded is SolveBounded that also reports whether the box repair
 // pinned any machine at 0 or 1.
 func (p *Profile) solveBounded(on []int, totalLoad float64) (*Plan, bool, error) {
-	if err := p.checkOnSet(on); err != nil {
+	if err := checkOnSet(on, p.Size()); err != nil {
 		return nil, false, err
 	}
 	if totalLoad > float64(len(on))+1e-9 {
@@ -266,19 +266,19 @@ func (p *Profile) PlanPower(pl *Plan) units.Watts {
 	return total
 }
 
-// ValidatePlan checks a plan against the model: loads within [0, 1], the
-// load constraint met, and every powered-on machine at or below T_max at
-// the plan's supply temperature. slack is the allowed temperature
-// overshoot in °C (0 for strict).
+// ValidatePlan checks a plan against the model: on-set indices in range
+// and distinct, loads within [0, 1], the load constraint met, and every
+// powered-on machine at or below T_max at the plan's supply temperature.
+// slack is the allowed temperature overshoot in °C (0 for strict).
 func (p *Profile) ValidatePlan(pl *Plan, totalLoad, slack float64) error {
 	if len(pl.Loads) != p.Size() {
 		return fmt.Errorf("core: plan has %d loads for %d machines", len(pl.Loads), p.Size())
 	}
-	sum := 0.0
-	onSet := make(map[int]bool, len(pl.On))
-	for _, i := range pl.On {
-		onSet[i] = true
+	onSet, err := onMask(pl.On, p.Size())
+	if err != nil {
+		return err
 	}
+	sum := 0.0
 	for i, l := range pl.Loads {
 		if !onSet[i] {
 			if l != 0 {
@@ -300,19 +300,27 @@ func (p *Profile) ValidatePlan(pl *Plan, totalLoad, slack float64) error {
 	return nil
 }
 
-func (p *Profile) checkOnSet(on []int) error {
+// checkOnSet rejects an empty on set and any set onMask rejects.
+func checkOnSet(on []int, n int) error {
 	if len(on) == 0 {
 		return errors.New("core: empty on set")
 	}
-	seen := make(map[int]bool, len(on))
+	_, err := onMask(on, n)
+	return err
+}
+
+// onMask marks the on set's machines in a mask of n, rejecting an index
+// outside [0, n) and a duplicate index.
+func onMask(on []int, n int) ([]bool, error) {
+	mask := make([]bool, n)
 	for _, i := range on {
-		if i < 0 || i >= p.Size() {
-			return fmt.Errorf("core: machine index %d out of range [0, %d)", i, p.Size())
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("core: machine index %d out of range [0, %d)", i, n)
 		}
-		if seen[i] {
-			return fmt.Errorf("core: duplicate machine index %d", i)
+		if mask[i] {
+			return nil, fmt.Errorf("core: duplicate machine index %d", i)
 		}
-		seen[i] = true
+		mask[i] = true
 	}
-	return nil
+	return mask, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -352,5 +353,31 @@ func TestValidatePlanRejectsOverUnitLoad(t *testing.T) {
 	plan := &Plan{On: []int{0}, Loads: loads, TAcC: units.Celsius(p.TAcMinC)}
 	if err := p.ValidatePlan(plan, 1.5, math.Inf(1)); err == nil {
 		t.Fatal("over-unit load accepted")
+	}
+}
+
+// TestValidatePlanRejectsBadOnIndex checks that a malformed on set is an
+// error, not a panic or a silent pass: an index outside [0, n) on either
+// side, and a machine listed twice.
+func TestValidatePlanRejectsBadOnIndex(t *testing.T) {
+	p := testProfile()
+	plan, err := p.Solve(fullOn(p), unclampedLoad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		on         []int
+	}{
+		{"past the end", "out of range", append(append([]int(nil), plan.On...), p.Size())},
+		{"negative", "out of range", append([]int{-1}, plan.On...)},
+		{"duplicate", "duplicate machine index", append(append([]int(nil), plan.On...), plan.On[0])},
+	} {
+		bad := *plan
+		bad.On = tc.on
+		err := p.ValidatePlan(&bad, unclampedLoad, 1e-9)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: ValidatePlan = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }

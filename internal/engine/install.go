@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 
 	"coolopt/internal/core"
 )
@@ -143,7 +144,7 @@ func (e *Engine) PreparePatch(drifted []core.MachineDelta) (*PreparedInstall, er
 		}
 	}
 	if cur.pods != nil {
-		pods, err = cur.pods.Patch(drifted)
+		pods, err = cur.pods.Patch(drifted, core.WithPodBuildWorkers(patchWorkers()))
 		if err != nil {
 			return nil, err
 		}
@@ -160,6 +161,15 @@ func (e *Engine) PreparePatch(drifted []core.MachineDelta) (*PreparedInstall, er
 		base:    cur.epoch,
 		patched: patched,
 	}, nil
+}
+
+// patchWorkers is the pod-rebuild pool of a patch install: one processor
+// fewer than GOMAXPROCS, and at least one. An install rebuilds pods while
+// the live state keeps serving; on every processor it would leave a plan
+// that lost its processor waiting out a whole scheduler time slice,
+// several times the plan's own cost.
+func patchWorkers() int {
+	return max(1, runtime.GOMAXPROCS(0)-1)
 }
 
 // CommitInstall publishes a prepared state: an epoch-checked pointer swap
