@@ -100,7 +100,7 @@ func runHierarchyBench(out io.Writer, path string, goroutines, queries, maxN, po
 		if err != nil {
 			return fmt.Errorf("pod tables n=%d: %w", n, err)
 		}
-		eng, err := coolopt.NewEngineFromSnapshots(nil, pods)
+		eng, err := coolopt.NewEngineFromPodSnapshot(pods)
 		if err != nil {
 			return fmt.Errorf("engine n=%d: %w", n, err)
 		}

@@ -184,7 +184,7 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 	// One pipelined install through the serving engine (pod tables, the
 	// configuration that serves at this scale): the prepare runs off the
 	// hot path, the commit must stay a sub-millisecond pointer swap.
-	eng, err := coolopt.NewEngineFromSnapshots(nil, pods)
+	eng, err := coolopt.NewEngineFromPodSnapshot(pods)
 	if err != nil {
 		return err
 	}

@@ -35,9 +35,8 @@ type servingPoint struct {
 	// SnapshotBuildNS is the cost of freezing the profile: deep copy,
 	// validation, and the full consolidation preprocessing run.
 	SnapshotBuildNS int64 `json:"snapshot_build_ns"`
-	// Pods and PodBuildNS report the pod-sharded tables installed
-	// alongside the exact snapshot at n ≥ coolopt.HierThreshold, where
-	// the engine answers the consolidating optimum hierarchically.
+	// Pods and PodBuildNS report the pod-sharded tables the engine
+	// serves from at n ≥ coolopt.HierThreshold.
 	Pods       int   `json:"pods,omitempty"`
 	PodBuildNS int64 `json:"pod_build_ns,omitempty"`
 	// PlanColdQPS uses a distinct load per query, defeating the plan
@@ -119,10 +118,10 @@ func runServingBench(out io.Writer, path string, goroutines, queries, maxN int) 
 			return fmt.Errorf("snapshot n=%d: %w", n, err)
 		}
 		// Past the hierarchy threshold the production configuration
-		// installs pod tables next to the exact snapshot, so the
-		// consolidating optimum is served hierarchically — measure that.
+		// serves from pod tables — measure that.
 		var pods *coolopt.PodSnapshot
 		var podD time.Duration
+		var eng *coolopt.Engine
 		if n >= coolopt.HierThreshold {
 			podD, err = bestOf(1, func() error {
 				var err error
@@ -132,8 +131,10 @@ func runServingBench(out io.Writer, path string, goroutines, queries, maxN int) 
 			if err != nil {
 				return fmt.Errorf("pod tables n=%d: %w", n, err)
 			}
+			eng, err = coolopt.NewEngineFromPodSnapshot(pods)
+		} else {
+			eng, err = coolopt.NewEngineFromSnapshot(snap)
 		}
-		eng, err := coolopt.NewEngineFromSnapshots(snap, pods)
 		if err != nil {
 			return fmt.Errorf("engine n=%d: %w", n, err)
 		}

@@ -2,7 +2,7 @@
 // simulated machine room, freezes the fitted model into an immutable
 // snapshot, and serves the planning surface off the plan engine —
 //
-//	GET /v1/plan?load=12.5[&method=8][&mode=exact|hier][&avoid=3,7][&safe=true][&supply=22][&margin=2.5]
+//	GET /v1/plan?load=12.5[&method=8][&avoid=3,7][&safe=true][&supply=22][&margin=2.5]
 //	GET /v1/consolidate?load=12.5[&mink=13]
 //	GET /v1/maxload?budget=5000
 //	GET /v1/stats                      counters + per-endpoint latency
@@ -14,12 +14,10 @@
 // profiled from). Planning queries read only the frozen snapshot, so
 // they are served concurrently and never queue behind room mutations.
 //
-// With -pods P the server additionally builds pod-sharded consolidation
-// tables and installs them alongside the exact snapshot: requests may
-// then pick the planning path with &mode=, and -plan-mode chooses what
-// the server installs — "both" (the default with -pods), or "hier" to
-// serve pod-only, the configuration for rooms past the whole-room table
-// cap.
+// With -pods P the server also builds pod-sharded consolidation tables
+// and serves every planning query from them; without it, it serves the
+// whole-room tables. Profiling still builds the whole-room tables either
+// way (they back the room's eight-scenario planner).
 //
 // With -reprofile D the server also runs a continuous re-profiler: every
 // D it folds one sensor sweep into per-machine recursive-least-squares
@@ -37,7 +35,7 @@
 //
 // Usage:
 //
-//	pland [-addr :7078] [-seed N] [-machines N] [-racks R -perrack M] [-pods P] [-pod-depth D] [-plan-mode exact|hier|both] [-timeout 0] [-max-inflight 0] [-drain 5s] [-reprofile 0] [-reprofile-reltol 0.02] [-reprofile-min-samples 64]
+//	pland [-addr :7078] [-seed N] [-machines N] [-racks R -perrack M] [-pods P] [-pod-depth D] [-timeout 0] [-max-inflight 0] [-drain 5s] [-reprofile 0] [-reprofile-reltol 0.02] [-reprofile-min-samples 64]
 package main
 
 import (
@@ -77,9 +75,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	racks := fs.Int("racks", 0, "number of racks in a row (0 = single rack of -machines)")
 	perRack := fs.Int("perrack", 20, "machines per rack when -racks is set")
 	workers := fs.Int("workers", 0, "preprocessing worker pool (0 = all cores)")
-	pods := fs.Int("pods", 0, "pod count for hierarchical planning tables (0 = exact only)")
+	pods := fs.Int("pods", 0, "serve from pod-sharded planning tables with this many pods (0 = whole-room tables)")
 	podDepth := fs.Int("pod-depth", 0, "planner tree depth with -pods: 2 = flat pods, 3 = pods of pods (0 = calibrated default for the room size)")
-	planMode := fs.String("plan-mode", "", "tables to serve: exact, hier, or both (default: both with -pods, else exact)")
 	timeout := fs.Duration("timeout", 0, "server-side compute deadline per planning request (0 = client deadline only)")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrent plan computations before shedding 503s (0 = unbounded)")
 	drain := fs.Duration("drain", 5*time.Second, "in-flight request drain budget on shutdown")
@@ -88,22 +85,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	reprofileMin := fs.Int("reprofile-min-samples", 64, "sensor sweeps required before a machine's re-fitted coefficients are trusted")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *planMode == "" {
-		if *pods > 0 {
-			*planMode = "both"
-		} else {
-			*planMode = "exact"
-		}
-	}
-	switch *planMode {
-	case "exact":
-	case "hier", "both":
-		if *pods <= 0 {
-			return fmt.Errorf("-plan-mode %s requires -pods", *planMode)
-		}
-	default:
-		return fmt.Errorf("bad -plan-mode %q (want exact, hier, or both)", *planMode)
 	}
 
 	opts := []coolopt.Option{coolopt.WithSeed(*seed)}
@@ -142,13 +123,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	sys, err := coolopt.NewSystem(opts...)
 	if err != nil {
 		return err
-	}
-	if *planMode == "hier" {
-		// Pod-only serving: drop the whole-room tables and answer every
-		// consolidating query hierarchically.
-		if err := sys.Engine().InstallHierarchical(nil, sys.Pods()); err != nil {
-			return err
-		}
 	}
 	apiOpts := []roomapi.Option{roomapi.WithEngine(sys.Engine())}
 	if *timeout > 0 {
@@ -217,9 +191,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shape := "exact tables"
+	shape := "whole-room tables"
 	if p := sys.Pods(); p != nil {
-		shape = fmt.Sprintf("%s, %d pods, depth %d", *planMode, p.Pods(), p.Depth())
+		shape = fmt.Sprintf("%d pods, depth %d", p.Pods(), p.Depth())
 	}
 	fmt.Fprintf(out, "pland: serving plans for the %d-machine room on http://%s (snapshot epoch %d, %s)\n",
 		n, ln.Addr(), sys.Engine().Epoch(), shape)

@@ -36,16 +36,10 @@ func TestRunFlagError(t *testing.T) {
 	if err := run(context.Background(), []string{"-nope"}, &out); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
-	if err := run(context.Background(), []string{"-plan-mode", "hier"}, &out); err == nil {
-		t.Fatal("-plan-mode hier without -pods accepted")
-	}
-	if err := run(context.Background(), []string{"-plan-mode", "sideways", "-pods", "2"}, &out); err == nil {
-		t.Fatal("bad -plan-mode accepted")
-	}
 }
 
-// TestRunServesHierarchical boots a pod-backed server and checks the
-// hierarchical plan path and the stats endpoint over the wire.
+// TestRunServesHierarchical boots a pod-backed server and checks that
+// plans come from the pod tables and the stats endpoint over the wire.
 func TestRunServesHierarchical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -91,11 +85,11 @@ func TestRunServesHierarchical(t *testing.T) {
 	}
 
 	var plan roomapi.PlanResult
-	if code := get("/v1/plan?load=2&mode=hier", &plan); code != 200 {
-		t.Fatalf("/v1/plan mode=hier status %d", code)
+	if code := get("/v1/plan?load=2", &plan); code != 200 {
+		t.Fatalf("/v1/plan status %d", code)
 	}
 	if !plan.Hierarchical {
-		t.Fatalf("mode=hier answer not hierarchical: %+v", plan)
+		t.Fatalf("-pods answer not hierarchical: %+v", plan)
 	}
 	var stats map[string]any
 	if code := get("/v1/stats", &stats); code != 200 {

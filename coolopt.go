@@ -103,9 +103,6 @@ type (
 	PlanRequest = engine.Request
 	// PlanResponse is a served plan plus shed/degradation accounting.
 	PlanResponse = engine.Response
-	// PlanMode selects the exact or hierarchical planning path for one
-	// request (ModeAuto picks by room size).
-	PlanMode = engine.PlanMode
 	// EngineStats is the engine's point-in-time cache and topology
 	// counters (the /v1/stats wire form).
 	EngineStats = engine.Stats
@@ -144,18 +141,10 @@ const (
 // AllMethods lists the scenarios in paper order.
 var AllMethods = baseline.AllMethods
 
-// Plan-path selectors for PlanRequest.Mode.
-const (
-	ModeAuto  = engine.ModeAuto
-	ModeExact = engine.ModeExact
-	ModeHier  = engine.ModeHier
-)
-
-// HierThreshold is the room size at and above which an engine holding
-// pod tables serves the consolidating optimum hierarchically in
-// ModeAuto. It comes from the measured pod-sizing calibration curve
-// (regenerated by `paperbench -podsize-sweep`).
-var HierThreshold = engine.HierThreshold
+// HierThreshold is the room size at and above which pod tables beat the
+// whole-room tables for serving, from the measured pod-sizing calibration
+// curve (regenerated by `paperbench -podsize-sweep`).
+var HierThreshold = core.DefaultCalibration().HierThreshold
 
 // ErrInfeasible is returned when no plan can satisfy the constraints.
 var ErrInfeasible = core.ErrInfeasible
@@ -165,9 +154,6 @@ var (
 	// ErrPlanOverloaded: the engine refused to start a computation
 	// (in-flight bound hit, install in progress, or breaker open).
 	ErrPlanOverloaded = engine.ErrOverloaded
-	// ErrPlanNoPath: the request pinned a planning path the installed
-	// state cannot serve.
-	ErrPlanNoPath = engine.ErrNoPath
 	// ErrPlanBadAvoid: the avoid list names a machine outside the room.
 	ErrPlanBadAvoid = engine.ErrBadAvoid
 	// ErrBadDelta: a drift batch named a machine outside the room, listed
@@ -203,10 +189,9 @@ func NewEngineFromSnapshot(snap *Snapshot) (*Engine, error) {
 	return engine.FromSnapshot(snap)
 }
 
-// NewEngineFromSnapshots builds a plan-serving engine over an exact
-// snapshot, pod tables, or both published as one epoch.
-func NewEngineFromSnapshots(snap *Snapshot, pods *PodSnapshot, opts ...EngineOption) (*Engine, error) {
-	return engine.FromSnapshots(snap, pods, opts...)
+// NewEngineFromPodSnapshot builds a plan-serving engine on a pod tree.
+func NewEngineFromPodSnapshot(pods *PodSnapshot, opts ...EngineOption) (*Engine, error) {
+	return engine.FromPodSnapshot(pods, opts...)
 }
 
 // NewPodSnapshot partitions a room into pods and builds the per-pod

@@ -19,11 +19,13 @@ import (
 //     classic reviewer-only bug this makes mechanical.
 //
 //  2. atomic.Pointer / atomic.Value struct fields are publication
-//     points: in this repo they hold the engine's RCU snapshot state and
-//     the serving layer's read views. Store/Swap on such a field is only
-//     legal in the file that declares the owning struct — the blessed
-//     install paths (Engine.Install/InstallHierarchical, the Server view
-//     rebuild) live next to the type they publish for. A swap from
+//     points: in this repo they hold the engine's RCU state (one frozen
+//     model per generation) and the serving layer's read views.
+//     Store/Swap on such a field is only legal in the file that declares
+//     the owning struct — the blessed publication paths (the engine's
+//     publish/publishIfEpoch behind Install, InstallHierarchical and
+//     CommitInstall, and the Server view rebuild) live next to the type
+//     they publish for. A swap from
 //     anywhere else bypasses the install gate, the epoch stamping, and
 //     the cache drop that make the swap safe.
 //

@@ -12,18 +12,20 @@ import (
 	"coolopt/internal/mathx"
 )
 
-// This file is the incremental-install chaos scenario: a dual-table
-// engine (exact tables with retained crossings plus pod tables) with a
-// re-profiler trickling drift batches through the pipelined
-// PreparePatch/CommitInstall path while planner goroutines hammer every
-// serving flavor — exact plans, hierarchical degraded plans around
-// failure bursts, and dual budget queries. The scenario passes only if
-// the install pipeline's contract holds everywhere: every worker
-// observes a monotonically non-decreasing epoch, every sampled answer is
-// bit-identical to a recomputation against that epoch's recorded tables
-// (no plan ever mixes generations), readiness never flaps across any of
-// the commits, nothing is shed, and every trickled generation lands
-// exactly once through the patch path.
+// This file is the incremental-install chaos scenario: two engines over
+// one room — whole-room tables with retained crossings, and a pod tree —
+// with a re-profiler trickling the same drift batches through both
+// engines' pipelined PreparePatch/CommitInstall path (crossing splices
+// and pod patches) while planner goroutines hammer every serving flavor
+// — exact plans on the whole-room engine, hierarchical degraded plans
+// around failure bursts and dual budget queries on the pod engine. The
+// scenario passes only if the install pipeline's contract holds
+// everywhere: every worker observes a monotonically non-decreasing
+// epoch, every sampled answer is bit-identical to a recomputation
+// against that epoch's recorded tables (no plan ever mixes generations),
+// readiness never flaps across any of the commits, nothing is shed, and
+// every trickled generation lands exactly once through the patch path
+// of each engine.
 
 // IncrementalOptions tunes RunIncrementalServing. Zero values pick the
 // CI smoke size; paperbench -incremental-chaos raises the room.
@@ -60,9 +62,9 @@ func (r *IncrementalReport) String() string {
 		r.Installs, r.Queries, r.Verified, r.Degraded, r.MaxLoads, r.EpochsSeen)
 }
 
-// generation records the tables published at one epoch, captured BEFORE
-// the commit so workers can replay any answer against the exact state it
-// claims to come from.
+// generation records the tables both engines publish at one epoch,
+// captured BEFORE either commit so workers can replay any answer against
+// the exact state it claims to come from.
 type generation struct {
 	snap *core.Snapshot
 	pods *core.PodSnapshot
@@ -110,10 +112,15 @@ func RunIncrementalServing(opt IncrementalOptions) (*IncrementalReport, error) {
 	}
 	// Exact cache keys so a cached answer is bit-identical to the
 	// computation it memoized — the bit-verification below relies on it.
-	eng, err := engine.FromSnapshots(snap, pods, engine.WithExactCacheKeys())
+	flat, err := engine.FromSnapshot(snap, engine.WithExactCacheKeys())
 	if err != nil {
 		return nil, err
 	}
+	hier, err := engine.FromPodSnapshot(pods, engine.WithExactCacheKeys())
+	if err != nil {
+		return nil, err
+	}
+	engines := []*engine.Engine{flat, hier}
 
 	var gens sync.Map // epoch uint64 → *generation
 	gens.Store(uint64(0), &generation{snap: snap, pods: pods})
@@ -167,9 +174,10 @@ func RunIncrementalServing(opt IncrementalOptions) (*IncrementalReport, error) {
 	// consecutive installs.
 	const installStride = 4
 
-	// The installer trickles drift generations through the pipeline. Each
-	// prepared state is recorded under its epoch before the commit, so no
-	// worker can ever observe an epoch whose tables are unknown.
+	// The installer trickles each drift generation through both engines'
+	// pipelines. Both prepared states are recorded under their shared
+	// epoch before either commit, so no worker can ever observe an epoch
+	// whose tables are unknown.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -184,20 +192,30 @@ func RunIncrementalServing(opt IncrementalOptions) (*IncrementalReport, error) {
 				return
 			}
 			k := []int{1, 2, 4}[g%3]
-			batch := driftBatch(rng, eng.Snapshot().Profile(), k)
-			prep, err := eng.PreparePatch(batch)
-			if err != nil {
-				fail(fmt.Errorf("install %d: prepare: %w", g, err))
+			batch := driftBatch(rng, flat.Snapshot().Profile(), k)
+			preps := make([]*engine.PreparedInstall, len(engines))
+			for i, eng := range engines {
+				prep, err := eng.PreparePatch(batch)
+				if err != nil {
+					fail(fmt.Errorf("install %d: prepare: %w", g, err))
+					return
+				}
+				if !prep.Patched() {
+					fail(fmt.Errorf("install %d fell off the patch path", g))
+					return
+				}
+				preps[i] = prep
+			}
+			if preps[0].Epoch() != preps[1].Epoch() {
+				fail(fmt.Errorf("install %d: engines prepared epochs %d and %d", g, preps[0].Epoch(), preps[1].Epoch()))
 				return
 			}
-			if !prep.Patched() {
-				fail(fmt.Errorf("install %d fell off the patch path", g))
-				return
-			}
-			gens.Store(prep.Epoch(), &generation{snap: prep.Snapshot(), pods: prep.Pods()})
-			if err := eng.CommitInstall(prep); err != nil {
-				fail(fmt.Errorf("install %d: commit: %w", g, err))
-				return
+			gens.Store(preps[0].Epoch(), &generation{snap: preps[0].Snapshot(), pods: preps[1].Pods()})
+			for i, eng := range engines {
+				if err := eng.CommitInstall(preps[i]); err != nil {
+					fail(fmt.Errorf("install %d: commit: %w", g, err))
+					return
+				}
 			}
 			// Re-anchor the pace on the progress at commit time, so the
 			// next generation cannot land until the workers have served
@@ -239,9 +257,17 @@ func RunIncrementalServing(opt IncrementalOptions) (*IncrementalReport, error) {
 				// Readiness must hold at every sample: the pipelined
 				// commit has no build window, so there is nothing to shed
 				// around and nothing that may flap /v1/readyz.
-				if ok, why := eng.Ready(); !ok {
-					fail(fmt.Errorf("worker %d: readiness flapped mid-trickle: %s", w, why))
-					return
+				for _, eng := range engines {
+					if ok, why := eng.Ready(); !ok {
+						fail(fmt.Errorf("worker %d: readiness flapped mid-trickle: %s", w, why))
+						return
+					}
+				}
+				// Exact plans go to the whole-room engine, the other
+				// flavors to the pod engine.
+				eng := hier
+				if w%3 == 0 {
+					eng = flat
 				}
 				epoch, v, d, b, err := oneIncrementalQuery(&gens, eng, rng, opt.N, w%3, q)
 				if err != nil {
@@ -268,20 +294,22 @@ func RunIncrementalServing(opt IncrementalOptions) (*IncrementalReport, error) {
 	}
 	rep.EpochsSeen = len(epochs)
 
-	if got := eng.Epoch(); got != uint64(opt.Installs) {
-		return rep, fmt.Errorf("final epoch %d, want %d", got, opt.Installs)
-	}
-	s := eng.Stats()
-	rep.Installs = s.PipelinedInstalls
-	if s.PipelinedInstalls != uint64(opt.Installs) || s.PatchInstalls != uint64(opt.Installs) {
-		return rep, fmt.Errorf("install accounting: %d pipelined / %d patched, want %d of both",
-			s.PipelinedInstalls, s.PatchInstalls, opt.Installs)
-	}
-	if s.StaleInstalls != 0 {
-		return rep, fmt.Errorf("single installer lost %d epoch races", s.StaleInstalls)
-	}
-	if s.ShedOverload != 0 {
-		return rep, fmt.Errorf("%d queries shed during the trickle", s.ShedOverload)
+	for _, eng := range engines {
+		if got := eng.Epoch(); got != uint64(opt.Installs) {
+			return rep, fmt.Errorf("final epoch %d, want %d", got, opt.Installs)
+		}
+		s := eng.Stats()
+		rep.Installs += s.PipelinedInstalls
+		if s.PipelinedInstalls != uint64(opt.Installs) || s.PatchInstalls != uint64(opt.Installs) {
+			return rep, fmt.Errorf("install accounting: %d pipelined / %d patched, want %d of both",
+				s.PipelinedInstalls, s.PatchInstalls, opt.Installs)
+		}
+		if s.StaleInstalls != 0 {
+			return rep, fmt.Errorf("single installer lost %d epoch races", s.StaleInstalls)
+		}
+		if s.ShedOverload != 0 {
+			return rep, fmt.Errorf("%d queries shed during the trickle", s.ShedOverload)
+		}
 	}
 	return rep, nil
 }
@@ -318,7 +346,7 @@ func oneIncrementalQuery(gens *sync.Map, eng *engine.Engine, rng *mathx.Rand, n,
 			avoid = faults.SpreadBurst(n, f)
 		}
 		load := rng.Uniform(0.2, 0.6) * float64(n-f)
-		resp, err := eng.Plan(ctx, engine.Request{Load: load, Avoid: avoid, Mode: engine.ModeHier})
+		resp, err := eng.Plan(ctx, engine.Request{Load: load, Avoid: avoid})
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -360,7 +388,7 @@ func oneIncrementalQuery(gens *sync.Map, eng *engine.Engine, rng *mathx.Rand, n,
 			return eng.Epoch(), 0, 0, 1, nil
 		}
 		load := rng.Uniform(0.1, 0.7) * float64(n)
-		resp, err := eng.Plan(ctx, engine.Request{Load: load, Mode: engine.ModeHier})
+		resp, err := eng.Plan(ctx, engine.Request{Load: load})
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -383,7 +411,7 @@ func oneIncrementalQuery(gens *sync.Map, eng *engine.Engine, rng *mathx.Rand, n,
 
 	default: // exact whole-room plans
 		load := rng.Uniform(0.1, 0.8) * float64(n)
-		resp, err := eng.Plan(ctx, engine.Request{Load: load, Mode: engine.ModeExact})
+		resp, err := eng.Plan(ctx, engine.Request{Load: load})
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}

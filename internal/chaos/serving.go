@@ -88,9 +88,9 @@ func RunDegradedServing(opt ServingOptions) (*ServingReport, error) {
 		opt.MaxInFlight = 2
 	}
 
-	// A pod-only engine over a synthetic profile: the configuration for
-	// rooms past the whole-room table cap, and the FromSnapshots hole the
-	// degraded path must serve cleanly.
+	// A pod engine over a synthetic profile: the configuration for rooms
+	// past the whole-room table cap, where the degraded path must serve
+	// cleanly without whole-room tables.
 	machines := make([]core.MachineProfile, opt.N)
 	for i := range machines {
 		h := float64(i) / float64(opt.N)

@@ -5,7 +5,6 @@ import (
 	"coolopt/internal/mathx"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -109,7 +108,7 @@ func collectEvents(pairs []Pair, workers int) (events []float64, crossings []cro
 	for _, part := range parts {
 		crossings = append(crossings, part...)
 	}
-	sort.Slice(crossings, func(i, j int) bool { return crossings[i].t < crossings[j].t })
+	slices.SortFunc(crossings, func(a, b crossing) int { return cmp.Compare(a.t, b.t) })
 
 	events, bucketEnd = groupCrossings(crossings)
 	return events, crossings, bucketEnd

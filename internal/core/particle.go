@@ -4,6 +4,7 @@ import (
 	"coolopt/internal/mathx"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -158,13 +159,20 @@ func Preprocess(r Reduced, opts ...PreprocessOption) (*Preprocessed, error) {
 // breaking coordinate ties by increasing speed b (the particle that will
 // lead immediately after t) and then by ID for determinism.
 func orderAt(pairs []Pair, t float64) []int {
-	order := make([]int, len(pairs))
-	for i := range order {
-		order[i] = i
+	ps := make([]particle, len(pairs))
+	for i := range ps {
+		ps[i] = particleAt(pairs, i, t)
 	}
-	sort.Slice(order, func(x, y int) bool {
-		return particleLess(pairs, order[x], order[y], t)
+	slices.SortFunc(ps, func(p, q particle) int {
+		if p.ahead(q) {
+			return -1
+		}
+		return 1
 	})
+	order := make([]int, len(ps))
+	for i, p := range ps {
+		order[i] = p.id
+	}
 	return order
 }
 

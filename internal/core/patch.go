@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"coolopt/internal/mathx"
@@ -31,10 +33,9 @@ import (
 //     sorted time sequence and the per-event crossing sets (span merging
 //     is order-independent inside an event), so the result matches a
 //     fresh build bit for bit. This path cuts the constant, not the
-//     asymptotics: the sweep itself is still O(n²) — which is why the
-//     engine's patch-cost advisor (internal/engine) consults
-//     RetainedCrossings and switches to PatchRebuild when the splice
-//     would lose to the fresh build.
+//     asymptotics: the sweep itself is still O(n²), but the splice beats
+//     a fresh build at every measured size (EXPERIMENTS.md,
+//     "Incremental drift absorption").
 //
 //   - Pod tables. This is the fast path, and the reason the hierarchy
 //     pays twice: a drifted machine sits in exactly one pod leaf, so only
@@ -174,28 +175,6 @@ func (s *Snapshot) Patch(drifted []MachineDelta, opts ...PreprocessOption) (*Sna
 	return newFlatSnapshot(epoch, p2, pre), nil
 }
 
-// PatchRebuild applies a drift batch like Patch but never splices: the
-// tables always rebuild from scratch. Splice and rebuild agree bit for
-// bit (the differential battery proves it), so the engine's patch-cost
-// advisor switches between them freely — at large n the splice's
-// filter-and-merge over ~n²/2 retained crossings costs more than the
-// fresh build it was meant to avoid.
-func (s *Snapshot) PatchRebuild(drifted []MachineDelta, opts ...PreprocessOption) (*Snapshot, error) {
-	p2, ids, _, err := applyDeltas(s.profile, drifted)
-	if err != nil {
-		return nil, err
-	}
-	epoch := s.epoch + 1
-	if len(ids) == 0 {
-		return newFlatSnapshot(epoch, p2, s.pre), nil
-	}
-	pre, err := Preprocess(p2.Reduce(), s.rebuildOpts(opts)...)
-	if err != nil {
-		return nil, err
-	}
-	return newFlatSnapshot(epoch, p2, pre), nil
-}
-
 // rebuildOpts wraps caller options for a full-rebuild patch path so the
 // result stays self-sustaining regardless of what the caller passed: the
 // room always fits the preprocessing cap, and a receiver that retained
@@ -213,12 +192,6 @@ func (s *Snapshot) rebuildOpts(opts []PreprocessOption) []PreprocessOption {
 // (built with WithPatchSupport), i.e. whether Patch splices incrementally
 // instead of rebuilding from scratch.
 func (s *Snapshot) PatchSupported() bool { return s.pre.PatchSupported() }
-
-// RetainedCrossings returns the length of the retained sorted crossing
-// list — zero when the tables were built without WithPatchSupport. This
-// is the quantity a splice-patch must filter and merge, so it is the
-// input to the engine's patch-versus-rebuild cost advisor.
-func (pp *Preprocessed) RetainedCrossings() int { return len(pp.crossings) }
 
 // patch rebuilds the tables for r2 — the receiver's reduced instance with
 // the listed machines' pairs replaced — by splicing the crossing list:
@@ -268,7 +241,7 @@ func (pp *Preprocessed) patch(r2 Reduced, ids []int, cfg preprocessConfig) (*Pre
 			}
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool { return fresh[i].t < fresh[j].t })
+	slices.SortFunc(fresh, func(a, b crossing) int { return cmp.Compare(a.t, b.t) })
 
 	// Merge the two sorted lists. The merged order can permute exact-time
 	// ties relative to a fresh full sort, which is harmless: grouping

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,10 +91,12 @@ func TestPatchPowerDriftFlat(t *testing.T) {
 	}
 }
 
-// TestPatchRebuildMatchesSplice: PatchRebuild (the patch-cost advisor's
-// fallback) must be bit-identical to the splice path on a thermal-only
-// batch — callers can only tell them apart by the stats counter.
-func TestPatchRebuildMatchesSplice(t *testing.T) {
+// TestPatchSpliceMatchesFreshBuild: a crossing splice must equal a
+// from-scratch NewSnapshot over the patched profile bit for bit — tables,
+// plans, and the retained crossing times the next splice will filter —
+// and stay patchable, so a following power-drift batch (which rebuilds)
+// chains onto it and still matches.
+func TestPatchSpliceMatchesFreshBuild(t *testing.T) {
 	const n = 96
 	rng := mathx.NewRand(7)
 	profile := hierProfile(n)
@@ -101,22 +104,31 @@ func TestPatchRebuildMatchesSplice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := driftBatch(rng, profile, 16)
-	patched := applyBatch(profile, batch)
-
-	spliced, err := cur.Patch(batch, WithPreprocessWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := cur.PatchRebuild(batch, WithPatchSupport(), WithPreprocessWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkFlatAgainstRebuild(t, "splice", spliced, patched, 1)
-	checkFlatAgainstRebuild(t, "rebuild", rebuilt, patched, 1)
-	equalTables(t, "splice vs rebuild", spliced.pre, rebuilt.pre)
-	if !rebuilt.PatchSupported() {
-		t.Fatal("PatchRebuild dropped patch support")
+	for e, label := range []string{"splice", "power drift after splice"} {
+		batch := driftBatch(rng, profile, 16)
+		if e == 1 {
+			batch = powerBatch(profile, batch, profile.W1*1.03, profile.W2*0.97)
+		}
+		profile = applyPowerBatch(profile, batch)
+		next, err := cur.Patch(batch, WithPreprocessWorkers(1))
+		if err != nil {
+			t.Fatalf("%s: patch: %v", label, err)
+		}
+		checkFlatAgainstRebuild(t, label, next, profile, uint64(e+1))
+		fresh, err := NewSnapshot(profile, uint64(e+1), WithPatchSupport(), WithPreprocessWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := next.pre.crossings, fresh.pre.crossings
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d retained crossings, fresh build retains %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i].t) != math.Float64bits(want[i].t) {
+				t.Fatalf("%s: crossing %d at t=%v, fresh build has %v", label, i, got[i].t, want[i].t)
+			}
+		}
+		cur = next
 	}
 }
 

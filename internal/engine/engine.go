@@ -13,10 +13,10 @@
 // identical concurrent queries — under serving load many clients ask for
 // the same (method, load) point, and one solve can answer all of them.
 //
-// Rooms past the whole-room table threshold serve the paper's method #8
-// through the two-level pod planner (core.PodSnapshot) with its bounded
-// optimality gap; smaller rooms keep the exact tables. Requests can pin
-// either path with Request.Mode.
+// Each generation holds exactly one frozen model, chosen by whoever
+// builds the engine: whole-room tables (core.Snapshot), served exactly,
+// or a pod tree (core.PodSnapshot), which serves the paper's method #8
+// through the hierarchical planner with its bounded optimality gap.
 //
 //coolopt:deterministic
 //coolopt:errcontract
@@ -43,29 +43,6 @@ import (
 // few MB even at datacenter scale.
 const cacheCap = 512
 
-// HierThreshold is the room size at and above which auto mode serves the
-// paper's method #8 hierarchically when pod tables are installed. Below
-// it the exact whole-room tables are fast enough that the bounded gap
-// buys nothing. The value comes from the measured pod-sizing calibration
-// curve (core.DefaultCalibration, regenerated by `paperbench
-// -podsize-sweep`) rather than a hard-coded constant; tests may override
-// it, production code should not.
-var HierThreshold = core.DefaultCalibration().HierThreshold
-
-// PlanMode selects the consolidation path for the paper's method #8.
-type PlanMode int
-
-const (
-	// ModeAuto (the zero value) picks hierarchically when pod tables are
-	// installed and the room is at least HierThreshold machines (or the
-	// engine is pod-only).
-	ModeAuto PlanMode = iota
-	// ModeExact forces the whole-room tables.
-	ModeExact
-	// ModeHier forces the two-level pod planner.
-	ModeHier
-)
-
 // Request describes one planning query.
 type Request struct {
 	// Method selects the planning scenario; the zero value means the
@@ -73,9 +50,6 @@ type Request struct {
 	Method baseline.Method
 	// Load is the total demand in machine-utilization units.
 	Load float64
-	// Mode pins the exact or hierarchical consolidation path for method
-	// #8; the zero value picks automatically. Other methods ignore it.
-	Mode PlanMode
 	// Avoid lists machine IDs to plan around (detected failures). A
 	// non-empty list routes the query to the degraded planner.
 	Avoid []int
@@ -96,9 +70,6 @@ type Request struct {
 func (r Request) normalize() Request {
 	if r.Method == 0 {
 		r.Method = baseline.OptimalACCons
-	}
-	if r.Method != baseline.OptimalACCons {
-		r.Mode = ModeAuto // mode only disambiguates #8; canonicalize the rest
 	}
 	if len(r.Avoid) > 0 {
 		avoid := append([]int(nil), r.Avoid...)
@@ -126,11 +97,11 @@ func (r Request) normalize() Request {
 func (r Request) key(epoch uint64, machines int, exact bool) string {
 	var sb strings.Builder
 	if exact {
-		fmt.Fprintf(&sb, "%d|%d|%d|x%x|%t|%x|%x", epoch, int(r.Method), int(r.Mode),
+		fmt.Fprintf(&sb, "%d|%d|x%x|%t|%x|%x", epoch, int(r.Method),
 			math.Float64bits(r.Load), r.Safe,
 			math.Float64bits(r.AchievedSupplyC), math.Float64bits(r.MarginC))
 	} else {
-		fmt.Fprintf(&sb, "%d|%d|%d|q%d|%t|%x|%x", epoch, int(r.Method), int(r.Mode),
+		fmt.Fprintf(&sb, "%d|%d|q%d|%t|%x|%x", epoch, int(r.Method),
 			quantizeLoad(r.Load, machines), r.Safe,
 			math.Float64bits(r.AchievedSupplyC), math.Float64bits(r.MarginC))
 	}
@@ -200,7 +171,7 @@ type Stats struct {
 	// Epoch and Machines describe the installed model; Pods and PodDepth
 	// are zero without pod tables (PodDepth is the planner tree's depth:
 	// 2 = classic pod split, 3 = pods of pods). Hierarchical reports
-	// whether auto mode serves method #8 through the pod planner.
+	// whether the installed model is a pod tree.
 	Epoch        uint64 `json:"epoch"`
 	Machines     int    `json:"machines"`
 	Pods         int    `json:"pods"`
@@ -223,31 +194,23 @@ type Stats struct {
 	// PatchInstalls (incremental Snapshot.Patch builds) and
 	// RebuildInstalls (from-scratch builds). StaleInstalls counts prepared
 	// generations refused at commit because another install won the epoch
-	// race. PatchFallbackRebuilds counts patch prepares where the cost
-	// advisor predicted the flat splice would lose to a fresh build and
-	// rebuilt instead (install.go).
-	Installs              uint64 `json:"installs"`
-	PipelinedInstalls     uint64 `json:"pipelinedInstalls"`
-	PatchInstalls         uint64 `json:"patchInstalls"`
-	RebuildInstalls       uint64 `json:"rebuildInstalls"`
-	StaleInstalls         uint64 `json:"staleInstalls"`
-	PatchFallbackRebuilds uint64 `json:"patch_fallback_rebuilds"`
+	// race.
+	Installs          uint64 `json:"installs"`
+	PipelinedInstalls uint64 `json:"pipelinedInstalls"`
+	PatchInstalls     uint64 `json:"patchInstalls"`
+	RebuildInstalls   uint64 `json:"rebuildInstalls"`
+	StaleInstalls     uint64 `json:"staleInstalls"`
 }
 
-// state is the RCU payload: the frozen model — exact tables, pod tables,
-// or both under one epoch — plus the scenario planner built on it. All of
-// it is read-only after construction.
+// state is the RCU payload: the frozen model — whole-room tables or a
+// pod tree, exactly one of the two — plus the scenario planner built on
+// it. All of it is read-only after construction.
 type state struct {
 	profile *core.Profile
-	snap    *core.Snapshot    // nil in pod-only mode
-	pods    *core.PodSnapshot // nil without pod tables
+	snap    *core.Snapshot    // nil on a pod engine
+	pods    *core.PodSnapshot // nil on a whole-room engine
 	planner *baseline.Planner
 	epoch   uint64
-}
-
-// autoHier reports whether auto mode routes method #8 hierarchically.
-func (st *state) autoHier() bool {
-	return st.pods != nil && (st.snap == nil || st.profile.Size() >= HierThreshold)
 }
 
 // flight is one in-progress computation that concurrent identical
@@ -290,12 +253,11 @@ type Engine struct {
 	shedOverload                    uint64
 
 	// Install accounting (see Stats); guarded by mu.
-	installs              uint64
-	pipelinedInstalls     uint64
-	patchInstalls         uint64
-	rebuildInstalls       uint64
-	staleInstalls         uint64
-	patchFallbackRebuilds uint64
+	installs          uint64
+	pipelinedInstalls uint64
+	patchInstalls     uint64
+	rebuildInstalls   uint64
+	staleInstalls     uint64
 
 	// Request-counted breaker (overload.go); guarded by mu.
 	breakerState    int
@@ -340,21 +302,18 @@ func newEngine(opts []Option) *Engine {
 // FromSnapshot builds an engine directly on a frozen snapshot,
 // constructing the scenario planner over it.
 func FromSnapshot(snap *core.Snapshot, opts ...Option) (*Engine, error) {
-	return FromSnapshots(snap, nil, opts...)
+	return fromState(snap, nil, opts)
 }
 
-// FromPodSnapshot builds a pod-only engine: every scenario planner path
-// that needs whole-room tables serves through the hierarchical planner
-// instead. This is the construction for rooms past the whole-room table
-// cap.
+// FromPodSnapshot builds a pod engine: method #8, the degraded path,
+// MaxLoad and Consolidate all serve through the hierarchical planner, and
+// no whole-room table is ever built. This is the construction for rooms
+// past the whole-room table cap.
 func FromPodSnapshot(pods *core.PodSnapshot, opts ...Option) (*Engine, error) {
-	return FromSnapshots(nil, pods, opts...)
+	return fromState(nil, pods, opts)
 }
 
-// FromSnapshots builds an engine over an exact snapshot, pod tables, or
-// both published as one epoch. At least one must be non-nil and their
-// epochs must agree.
-func FromSnapshots(snap *core.Snapshot, pods *core.PodSnapshot, opts ...Option) (*Engine, error) {
+func fromState(snap *core.Snapshot, pods *core.PodSnapshot, opts []Option) (*Engine, error) {
 	st, err := newState(snap, pods)
 	if err != nil {
 		return nil, err
@@ -364,48 +323,40 @@ func FromSnapshots(snap *core.Snapshot, pods *core.PodSnapshot, opts ...Option) 
 	return e, nil
 }
 
+// newState builds the serving state over exactly one of snap and pods.
 func newState(snap *core.Snapshot, pods *core.PodSnapshot) (*state, error) {
-	if snap == nil && pods == nil {
-		return nil, errors.New("engine: need an exact snapshot, pod tables, or both")
+	if (snap == nil) == (pods == nil) {
+		return nil, errors.New("engine: need exactly one of whole-room tables and pod tables")
 	}
-	if snap != nil && pods != nil && snap.Epoch() != pods.Epoch() {
-		return nil, fmt.Errorf("engine: snapshot epoch %d and pod epoch %d must be installed as one generation",
-			snap.Epoch(), pods.Epoch())
+	if pods != nil {
+		pl, err := baseline.NewPlannerOnProfile(pods.Profile())
+		if err != nil {
+			return nil, err
+		}
+		return &state{profile: pl.Profile(), pods: pods, planner: pl, epoch: pods.Epoch()}, nil
 	}
-	var (
-		pl  *baseline.Planner
-		err error
-	)
-	if snap != nil {
-		pl, err = baseline.NewPlannerOn(snap)
-	} else {
-		pl, err = baseline.NewPlannerOnProfile(pods.Profile())
-	}
+	pl, err := baseline.NewPlannerOn(snap)
 	if err != nil {
 		return nil, err
 	}
-	st := &state{snap: snap, pods: pods, planner: pl, profile: pl.Profile()}
-	if snap != nil {
-		st.epoch = snap.Epoch()
-	} else {
-		st.epoch = pods.Epoch()
-	}
-	return st, nil
+	return &state{profile: pl.Profile(), snap: snap, planner: pl, epoch: snap.Epoch()}, nil
 }
 
-// Install publishes a new exact snapshot (dropping any pod tables): the
-// scenario planner is rebuilt on it, the state swaps in atomically, and
-// the plan cache is dropped. Queries already running finish against the
-// state they loaded; new queries see the new one.
+// Install publishes new whole-room tables (replacing a pod tree, if one
+// was installed): the scenario planner is rebuilt on them, the state
+// swaps in atomically, and the plan cache is dropped. Queries already
+// running finish against the state they loaded; new queries see the new
+// one.
 func (e *Engine) Install(snap *core.Snapshot) error {
 	return e.InstallHierarchical(snap, nil)
 }
 
-// InstallHierarchical publishes an exact snapshot and prebuilt pod tables
-// (either may be nil, not both) as one atomic generation; the plan cache
-// is dropped. While the install's own state build runs, cache misses are
-// shed with ErrOverloaded; wrap a slow out-of-engine snapshot build in
-// BeginInstall to extend that window over the expensive part.
+// InstallHierarchical publishes exactly one of whole-room tables and a
+// prebuilt pod tree as the next generation (both or neither is refused);
+// the plan cache is dropped. While the install's own state build runs,
+// cache misses are shed with ErrOverloaded; wrap a slow out-of-engine
+// snapshot build in BeginInstall to extend that window over the
+// expensive part.
 func (e *Engine) InstallHierarchical(snap *core.Snapshot, pods *core.PodSnapshot) error {
 	done := e.BeginInstall()
 	defer done()
@@ -460,11 +411,12 @@ func (e *Engine) publishIfEpoch(st *state, base uint64, patched bool) error {
 	return nil
 }
 
-// Snapshot returns the currently installed exact snapshot, or nil for a
-// pod-only engine.
+// Snapshot returns the currently installed whole-room tables, or nil on
+// a pod engine.
 func (e *Engine) Snapshot() *core.Snapshot { return e.state.Load().snap }
 
-// Pods returns the currently installed pod tables, or nil.
+// Pods returns the currently installed pod tree, or nil on a whole-room
+// engine.
 func (e *Engine) Pods() *core.PodSnapshot { return e.state.Load().pods }
 
 // Epoch returns the installed generation.
@@ -482,7 +434,7 @@ func (e *Engine) Stats() Stats {
 		QuantizedKeys: !e.exactKeys,
 		Epoch:         st.epoch,
 		Machines:      st.profile.Size(),
-		Hierarchical:  st.autoHier(),
+		Hierarchical:  st.pods != nil,
 		MaxInFlight:   e.maxInFlight,
 		Installing:    e.installing.Load() > 0,
 	}
@@ -499,7 +451,6 @@ func (e *Engine) Stats() Stats {
 	s.Installs, s.PipelinedInstalls = e.installs, e.pipelinedInstalls
 	s.PatchInstalls, s.RebuildInstalls = e.patchInstalls, e.rebuildInstalls
 	s.StaleInstalls = e.staleInstalls
-	s.PatchFallbackRebuilds = e.patchFallbackRebuilds
 	s.Breaker = breakerName(e.breakerState)
 	s.Ready = !s.Installing && e.breakerState == brClosed
 	e.mu.Unlock()
@@ -526,12 +477,6 @@ func (e *Engine) Plan(ctx context.Context, req Request) (*Response, error) {
 		if bad := req.Avoid[0]; bad < 0 {
 			return nil, fmt.Errorf("%w: machine %d outside [0, %d)", ErrBadAvoid, bad, n)
 		}
-	}
-	if req.Mode == ModeHier && st.pods == nil {
-		return nil, fmt.Errorf("%w: hierarchical mode requested but no pod tables installed", ErrNoPath)
-	}
-	if req.Mode == ModeExact && st.snap == nil {
-		return nil, fmt.Errorf("%w: exact mode requested but the engine is pod-only", ErrNoPath)
 	}
 	key := req.key(st.epoch, st.profile.Size(), e.exactKeys)
 
@@ -626,7 +571,7 @@ func (e *Engine) compute(ctx context.Context, st *state, req Request) (*Response
 		if err := e.degradedPlan(ctx, st, req, resp); err != nil {
 			return nil, err
 		}
-	case req.Method == baseline.OptimalACCons && req.Load > 0 && st.useHier(req.Mode):
+	case req.Method == baseline.OptimalACCons && req.Load > 0 && st.pods != nil:
 		plan, err := st.pods.Plan(req.Load)
 		if err != nil {
 			return nil, err
@@ -641,18 +586,6 @@ func (e *Engine) compute(ctx context.Context, st *state, req Request) (*Response
 		resp.Plan = plan
 	}
 	return resp, nil
-}
-
-// useHier resolves the consolidation path for method #8 under this state.
-func (st *state) useHier(mode PlanMode) bool {
-	switch mode {
-	case ModeHier:
-		return true
-	case ModeExact:
-		return false
-	default:
-		return st.autoHier()
-	}
 }
 
 // survivors returns 0..n−1 minus the (sorted) avoid list.
@@ -671,14 +604,13 @@ func survivors(n int, avoid []int) []int {
 	return pool
 }
 
-// degradedPlan plans around the avoid set. With hierarchy active
-// (pinned, auto above the threshold, or pod-only) the pod-local
+// degradedPlan plans around the avoid set. On a pod engine the pod-local
 // PlanAvoiding answers: untouched pods reuse their tables, affected pods
 // re-solve survivor-restricted, and the flat O(n²) pool sweep never
-// runs. Otherwise the paper's closed form re-runs over the survivors
-// (context-cancellable). Either way, when even the full surviving set
-// cannot carry the demand the excess is shed to the pool's Eq. 20
-// capacity at the coldest supply (with the thermal cushion).
+// runs. On a whole-room engine the paper's closed form re-runs over the
+// survivors (context-cancellable). Either way, when even the full
+// surviving set cannot carry the demand the excess is shed to the pool's
+// Eq. 20 capacity at the coldest supply (with the thermal cushion).
 func (e *Engine) degradedPlan(ctx context.Context, st *state, req Request, resp *Response) error {
 	resp.Degraded = true
 	p := st.profile
@@ -686,7 +618,7 @@ func (e *Engine) degradedPlan(ctx context.Context, st *state, req Request, resp 
 	if len(pool) == 0 {
 		return errors.New("engine: no surviving machines")
 	}
-	if st.useHier(req.Mode) {
+	if st.pods != nil {
 		resp.Hierarchical = true
 		plan, err := st.pods.PlanAvoiding(req.Load, req.Avoid)
 		if err == nil {
@@ -770,11 +702,11 @@ func (e *Engine) safePlan(st *state, req Request, resp *Response) error {
 
 // MaxLoad answers the paper's dual budget question maxL(A, P_b) off the
 // installed state: the maximum serviceable load under a power budget and
-// the machine set achieving it. Above the hierarchy threshold (or
-// pod-only) the composed pod query answers with its bounded gap.
+// the machine set achieving it. A pod engine answers with the composed
+// pod query and its bounded gap.
 func (e *Engine) MaxLoad(budgetW float64) (core.MaxLoadResult, error) {
 	st := e.state.Load()
-	if st.autoHier() {
+	if st.pods != nil {
 		return st.pods.MaxLoad(budgetW)
 	}
 	return st.snap.Tables().MaxLoad(budgetW)
@@ -782,10 +714,10 @@ func (e *Engine) MaxLoad(budgetW float64) (core.MaxLoadResult, error) {
 
 // Consolidate answers the consolidation query directly: the best subset
 // of at least minK machines for the given load (Eq. 23 scoring), served
-// hierarchically above the threshold.
+// hierarchically on a pod engine.
 func (e *Engine) Consolidate(load float64, minK int) (core.Selection, error) {
 	st := e.state.Load()
-	if st.autoHier() {
+	if st.pods != nil {
 		return st.pods.Consolidate(load, minK)
 	}
 	return st.snap.Tables().QueryExact(load, minK)

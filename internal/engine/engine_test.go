@@ -457,44 +457,129 @@ func TestExactCacheKeysOption(t *testing.T) {
 	}
 }
 
-func TestHierarchicalModeSelection(t *testing.T) {
+// TestEngineServesInstalledTables pins the one-model-per-generation
+// contract: an engine built on whole-room tables answers method #8, the
+// degraded path, MaxLoad and Consolidate from those tables, an engine
+// built on a pod tree answers all four from the tree, and every response
+// and the stats report Hierarchical to match.
+func TestEngineServesInstalledTables(t *testing.T) {
 	const n = 64
-	e, err := FromSnapshots(testSnapshot(t, n, 3), testPods(t, n, 3))
+	snap, pods := testSnapshot(t, n, 3), testPods(t, n, 3)
+	flat, err := FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier, err := FromPodSnapshot(pods)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	// Below HierThreshold auto mode stays exact.
-	auto, err := e.Plan(ctx, Request{Load: 10})
-	if err != nil {
-		t.Fatal(err)
+	avoid := []int{3, 17, 40}
+	budget := float64(n)*(52+34)/2 + 150*15
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		hier bool
+	}{{"whole-room", flat, false}, {"pod", hier, true}} {
+		if got := tc.e.Stats().Hierarchical; got != tc.hier {
+			t.Fatalf("%s: Stats().Hierarchical = %t", tc.name, got)
+		}
+		if (tc.e.Snapshot() != nil) == tc.hier || (tc.e.Pods() != nil) != tc.hier {
+			t.Fatalf("%s: engine holds snap=%t pods=%t", tc.name, tc.e.Snapshot() != nil, tc.e.Pods() != nil)
+		}
+		plan, err := tc.e.Plan(ctx, Request{Load: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want *core.Plan
+		if tc.hier {
+			want, err = pods.Plan(10)
+		} else {
+			want, err = snap.Plan(10)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Hierarchical != tc.hier || plan.Epoch != 3 {
+			t.Fatalf("%s #8: Hierarchical=%t epoch=%d", tc.name, plan.Hierarchical, plan.Epoch)
+		}
+		samePlanBits(t, tc.name+" #8", plan.Plan, want)
+
+		deg, err := tc.e.Plan(ctx, Request{Load: 10, Avoid: avoid})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !deg.Degraded || deg.Hierarchical != tc.hier {
+			t.Fatalf("%s degraded: Degraded=%t Hierarchical=%t", tc.name, deg.Degraded, deg.Hierarchical)
+		}
+		if tc.hier {
+			want, err = pods.PlanAvoiding(10, avoid)
+		} else {
+			want, err = snap.Profile().PlanOverCtx(ctx, survivors(n, avoid), 10)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlanBits(t, tc.name+" degraded", deg.Plan, want)
+
+		ml, err := tc.e.MaxLoad(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantML core.MaxLoadResult
+		if tc.hier {
+			wantML, err = pods.MaxLoad(budget)
+		} else {
+			wantML, err = snap.Tables().MaxLoad(budget)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(ml.Load) != math.Float64bits(wantML.Load) {
+			t.Fatalf("%s MaxLoad = %v, want %v", tc.name, ml.Load, wantML.Load)
+		}
+
+		sel, err := tc.e.Consolidate(10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantSel core.Selection
+		if tc.hier {
+			wantSel, err = pods.Consolidate(10, 1)
+		} else {
+			wantSel, err = snap.Tables().QueryExact(10, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(sel.Subset) != fmt.Sprint(wantSel.Subset) {
+			t.Fatalf("%s Consolidate subset %v, want %v", tc.name, sel.Subset, wantSel.Subset)
+		}
 	}
-	if auto.Hierarchical {
-		t.Fatalf("auto mode went hierarchical at n=%d < %d", n, HierThreshold)
-	}
-	hier, err := e.Plan(ctx, Request{Load: 10, Mode: ModeHier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hier.Hierarchical {
-		t.Fatal("ModeHier did not use the pod planner")
-	}
-	if hier.Epoch != 3 || auto.Epoch != 3 {
-		t.Fatalf("epochs %d/%d, want 3", hier.Epoch, auto.Epoch)
-	}
-	// The two paths answer the same question; power gap is bounded.
-	p := e.Planner().Profile()
-	exactW := float64(p.PlanPower(auto.Plan))
-	hierW := float64(p.PlanPower(hier.Plan))
+	// The two models answer the same question; the pod tree's power gap
+	// is bounded.
+	p := flat.Planner().Profile()
+	exact, _ := flat.Plan(ctx, Request{Load: 10})
+	pod, _ := hier.Plan(ctx, Request{Load: 10})
+	exactW, hierW := float64(p.PlanPower(exact.Plan)), float64(p.PlanPower(pod.Plan))
 	if hierW < exactW-1e-6 || hierW > exactW*1.05 {
 		t.Fatalf("hierarchical power %v vs exact %v outside bound", hierW, exactW)
 	}
-	exact, err := e.Plan(ctx, Request{Load: 10, Mode: ModeExact})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// samePlanBits asserts two plans are bit-identical.
+func samePlanBits(t *testing.T, label string, got, want *core.Plan) {
+	t.Helper()
+	if fmt.Sprint(got.On) != fmt.Sprint(want.On) {
+		t.Fatalf("%s: on set %v, want %v", label, got.On, want.On)
 	}
-	if exact.Hierarchical {
-		t.Fatal("ModeExact answered hierarchically")
+	for i := range want.Loads {
+		if math.Float64bits(got.Loads[i]) != math.Float64bits(want.Loads[i]) {
+			t.Fatalf("%s: machine %d load %v, want %v", label, i, got.Loads[i], want.Loads[i])
+		}
+	}
+	if math.Float64bits(float64(got.TAcC)) != math.Float64bits(float64(want.TAcC)) {
+		t.Fatalf("%s: TAcC %v, want %v", label, got.TAcC, want.TAcC)
 	}
 }
 
@@ -516,9 +601,6 @@ func TestPodOnlyEngine(t *testing.T) {
 	}
 	if !resp.Hierarchical {
 		t.Fatal("pod-only default plan not hierarchical")
-	}
-	if _, err := e.Plan(ctx, Request{Load: 10, Mode: ModeExact}); err == nil {
-		t.Fatal("ModeExact accepted on a pod-only engine")
 	}
 	// Non-#8 scenarios run off the profile-only planner.
 	if _, err := e.Plan(ctx, Request{Load: 10, Method: baseline.EvenACNoCons}); err != nil {
@@ -542,29 +624,49 @@ func TestPodOnlyEngine(t *testing.T) {
 	}
 }
 
-func TestInstallHierarchicalEpochMismatch(t *testing.T) {
+// TestInstallRefusesBothOrNeither: a generation holds exactly one model,
+// so both install paths refuse whole-room tables and a pod tree together,
+// and refuse neither, leaving the live generation serving.
+func TestInstallRefusesBothOrNeither(t *testing.T) {
 	e := testEngine(t, 10)
-	if err := e.InstallHierarchical(testSnapshot(t, 10, 1), testPods(t, 10, 2)); err == nil {
-		t.Fatal("mismatched epochs installed as one generation")
+	if err := e.InstallHierarchical(testSnapshot(t, 10, 1), testPods(t, 10, 1)); err == nil {
+		t.Fatal("both tables installed as one generation")
 	}
 	if err := e.InstallHierarchical(nil, nil); err == nil {
 		t.Fatal("empty install accepted")
 	}
-	if err := e.InstallHierarchical(testSnapshot(t, 10, 4), testPods(t, 10, 4)); err != nil {
+	if _, err := e.PrepareInstall(testSnapshot(t, 10, 1), testPods(t, 10, 1)); err == nil {
+		t.Fatal("both tables prepared as one generation")
+	}
+	if _, err := e.PrepareInstall(nil, nil); err == nil {
+		t.Fatal("empty prepare accepted")
+	}
+	if e.Epoch() != 0 || e.Snapshot() == nil || e.Pods() != nil {
+		t.Fatalf("refused installs moved the live generation: epoch %d", e.Epoch())
+	}
+	if err := e.InstallHierarchical(nil, testPods(t, 10, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Epoch() != 4 || e.Pods() == nil {
-		t.Fatalf("hierarchical install not published: epoch %d", e.Epoch())
+	if e.Epoch() != 4 || e.Pods() == nil || e.Snapshot() != nil {
+		t.Fatalf("pod install not published alone: epoch %d", e.Epoch())
+	}
+	if err := e.Install(testSnapshot(t, 10, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Epoch() != 5 || e.Pods() != nil || e.Stats().Hierarchical {
+		t.Fatalf("whole-room install kept the pod tree: epoch %d", e.Epoch())
 	}
 }
 
 // TestConcurrentPlanDuringHierarchicalInstall is the hierarchy analogue
-// of the serving-layer race check: workers mix exact, auto and pinned
-// hierarchical queries while the main goroutine keeps installing
-// (snapshot, pods) generations. Run with -race this verifies readers
-// never observe a torn state and every answer is stamped with some
-// installed epoch; misses shed while installs are running are retried,
-// and none may be shed after the last install.
+// of the serving-layer race check: workers mix consolidating, baseline
+// and degraded queries while the main goroutine keeps installing
+// generations that alternate between whole-room tables (even epochs) and
+// pod trees (odd epochs). Run with -race this verifies readers never
+// observe a torn state: every answer is stamped with some installed
+// epoch and was served by the model that epoch installed. Misses shed
+// while installs are running are retried, and none may be shed after the
+// last install.
 func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 	const (
 		workers  = 8
@@ -572,10 +674,7 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 		installs = 10
 		n        = 16
 	)
-	e, err := FromSnapshots(testSnapshot(t, n, 0), testPods(t, n, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, n)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -589,7 +688,7 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 				req := Request{Load: 1 + float64((w*queries+q)%48)/4}
 				switch q % 3 {
 				case 1:
-					req.Mode = ModeHier
+					req.Method = baseline.OptimalACNoCons
 				case 2:
 					req.Avoid = []int{w % n}
 				}
@@ -599,14 +698,24 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 					return
 				}
 				if resp.Epoch > installs {
-					errs <- context.DeadlineExceeded // impossible marker
+					errs <- fmt.Errorf("epoch %d beyond any install", resp.Epoch)
+					return
+				}
+				if want := q%3 != 1 && resp.Epoch%2 == 1; resp.Hierarchical != want {
+					errs <- fmt.Errorf("epoch %d query %d: Hierarchical=%t, want %t", resp.Epoch, q, resp.Hierarchical, want)
 					return
 				}
 			}
 		}(w)
 	}
-	for i := 1; i <= installs; i++ {
-		if err := e.InstallHierarchical(testSnapshot(t, n, uint64(i)), testPods(t, n, uint64(i))); err != nil {
+	for i := uint64(1); i <= installs; i++ {
+		var err error
+		if i%2 == 1 {
+			err = e.InstallHierarchical(nil, testPods(t, n, i))
+		} else {
+			err = e.Install(testSnapshot(t, n, i))
+		}
+		if err != nil {
 			t.Fatalf("install %d: %v", i, err)
 		}
 	}
@@ -618,5 +727,24 @@ func TestConcurrentPlanDuringHierarchicalInstall(t *testing.T) {
 	}
 	if e.Epoch() != installs {
 		t.Fatalf("final epoch %d, want %d", e.Epoch(), installs)
+	}
+}
+
+// TestStatsPodDepth: a pod engine over a depth-3 planner tree must
+// surface that depth in /v1/stats so operators can tell which tree shape
+// is live.
+func TestStatsPodDepth(t *testing.T) {
+	const n = 64
+	pods, err := core.NewPodSnapshot(testProfile(n), 0,
+		core.WithPodCount(16), core.WithPodDepth(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := FromPodSnapshot(pods)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Stats(); got.PodDepth != pods.Depth() || got.PodDepth != 3 {
+		t.Fatalf("Stats().PodDepth = %d, want %d", got.PodDepth, pods.Depth())
 	}
 }

@@ -24,9 +24,8 @@ import (
 // the commit refuses (ErrStaleInstall) if another install published in
 // between, so two concurrent re-profilers can never silently clobber each
 // other's generation. InstallPatch wraps the prepare/commit pair in an
-// internal re-validation loop, which is the fix for the stale-planner
-// window that previously pushed the retry burden onto callers (see
-// TestInstallHierarchicalEpochMismatch).
+// internal re-validation loop, so callers never retry by hand (see
+// TestInstallPipelineEpochRace).
 
 // ErrStaleInstall reports a prepared install refused at commit because
 // the engine's live epoch moved past the one the preparation was based
@@ -38,24 +37,6 @@ var ErrStaleInstall = errors.New("engine: prepared install is stale")
 // the epoch race this many times in a row means another installer is
 // livelocking us; surface it instead of spinning.
 const installRetries = 4
-
-// patchSpliceBudget is the retained-crossing count above which the flat
-// splice-patch is predicted to lose to a from-scratch rebuild. The
-// splice filters and merges the full retained list (O(n²) work
-// proportional to RetainedCrossings) and then re-runs the same sweep a
-// rebuild would, so once the retained list is large enough the filter
-// and merge cost more than the fresh pair generation and sort they
-// replace — measured on this hardware the crossover sits between n=2048
-// (~2M retained, splice still ahead) and n=4096 (~8M retained, splice
-// ~20% slower than the rebuild; see ROADMAP). A var so tests can pin the
-// decision both ways.
-var patchSpliceBudget = 4 << 20
-
-// patchWouldLose is the flat patch-cost advisor: true when the retained
-// crossing list is past the measured splice-versus-rebuild crossover.
-func patchWouldLose(retainedCrossings int) bool {
-	return retainedCrossings > patchSpliceBudget
-}
 
 // PreparedInstall is a fully built serving state waiting for its O(1)
 // commit. It pins the snapshots and the scenario planner, so holding one
@@ -73,10 +54,11 @@ func (p *PreparedInstall) Epoch() uint64 { return p.st.epoch }
 // from; CommitInstall refuses if the engine has moved past it.
 func (p *PreparedInstall) BaseEpoch() uint64 { return p.base }
 
-// Snapshot returns the prepared exact snapshot, or nil in pod-only mode.
+// Snapshot returns the prepared whole-room tables, or nil on a pod
+// engine.
 func (p *PreparedInstall) Snapshot() *core.Snapshot { return p.st.snap }
 
-// Pods returns the prepared pod tables, or nil.
+// Pods returns the prepared pod tree, or nil on a whole-room engine.
 func (p *PreparedInstall) Pods() *core.PodSnapshot { return p.st.pods }
 
 // Patched reports whether the prepared tables came from an incremental
@@ -84,10 +66,10 @@ func (p *PreparedInstall) Pods() *core.PodSnapshot { return p.st.pods }
 func (p *PreparedInstall) Patched() bool { return p.patched }
 
 // PrepareInstall builds the serving state for externally constructed
-// snapshots (either may be nil, not both; epochs must agree) without
-// touching the live state or the admission gate — call it from a worker
-// while the engine keeps serving. The commit will require the engine to
-// still be on the epoch it is on now.
+// tables (exactly one of snap and pods) without touching the live state
+// or the admission gate — call it from a worker while the engine keeps
+// serving. The commit will require the engine to still be on the epoch
+// it is on now.
 func (e *Engine) PrepareInstall(snap *core.Snapshot, pods *core.PodSnapshot) (*PreparedInstall, error) {
 	base := e.state.Load().epoch
 	st, err := newState(snap, pods)
@@ -98,59 +80,33 @@ func (e *Engine) PrepareInstall(snap *core.Snapshot, pods *core.PodSnapshot) (*P
 }
 
 // PreparePatch builds the next generation by incrementally patching the
-// live state's snapshots with a drift batch: the exact tables splice
-// their retained crossing list when the live snapshot carries one
-// (WithPatchSupport — the patched result always does, so the path is
-// self-sustaining), and pod tables rebuild only the pods containing
-// drifted machines. Invalid batches are refused with core.ErrBadDelta.
-// The live state keeps serving untouched throughout.
+// live tables with a drift batch: whole-room tables splice their retained
+// crossing list when the live snapshot carries one (WithPatchSupport —
+// the patched result always does, so the path is self-sustaining), and a
+// pod tree rebuilds only the pods containing drifted machines. Invalid
+// batches are refused with core.ErrBadDelta. The live state keeps serving
+// untouched throughout.
 //
-// Two cases force a from-scratch rebuild (still bit-identical to the
-// splice, so callers cannot tell except by the stats):
-//
-//   - power-model drift (core.PowerDrift): replacement W1/W2 move every
-//     particle, so no retained crossing survives and no pod is spared;
-//   - the flat patch-cost advisor (patchWouldLose): past the measured
-//     crossover the splice's filter-and-merge over the retained list is
-//     slower than the rebuild it was meant to avoid — counted in
-//     Stats.PatchFallbackRebuilds.
+// Power-model drift (core.PowerDrift) forces a from-scratch rebuild,
+// still bit-identical to a fresh build: replacement W1/W2 move every
+// particle, so no retained crossing survives and no pod is spared. So
+// does a whole-room snapshot that retained no crossings.
 func (e *Engine) PreparePatch(drifted []core.MachineDelta) (*PreparedInstall, error) {
 	cur := e.state.Load()
 	var (
-		snap *core.Snapshot
-		pods *core.PodSnapshot
-		err  error
+		snap    *core.Snapshot
+		pods    *core.PodSnapshot
+		err     error
+		patched = !core.PowerDrift(drifted)
 	)
-	powerDrift := core.PowerDrift(drifted)
-	patched := cur.snap == nil || cur.snap.PatchSupported()
-	if cur.snap != nil {
-		switch {
-		case powerDrift:
-			// Every K_i moves; Patch detects this itself and rebuilds.
-			patched = false
-			snap, err = cur.snap.Patch(drifted, core.WithPatchSupport())
-		case cur.snap.PatchSupported() && patchWouldLose(cur.snap.Tables().RetainedCrossings()):
-			patched = false
-			e.mu.Lock()
-			e.patchFallbackRebuilds++
-			e.mu.Unlock()
-			snap, err = cur.snap.PatchRebuild(drifted,
-				core.WithMaxMachines(cur.snap.Size()), core.WithPatchSupport())
-		default:
-			snap, err = cur.snap.Patch(drifted, core.WithPatchSupport())
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 	if cur.pods != nil {
 		pods, err = cur.pods.Patch(drifted, core.WithPodBuildWorkers(patchWorkers()))
-		if err != nil {
-			return nil, err
-		}
-		if powerDrift {
-			patched = false
-		}
+	} else {
+		patched = patched && cur.snap.PatchSupported()
+		snap, err = cur.snap.Patch(drifted, core.WithPatchSupport())
+	}
+	if err != nil {
+		return nil, err
 	}
 	st, err := newState(snap, pods)
 	if err != nil {

@@ -82,8 +82,8 @@ func TestCommitInstallStale(t *testing.T) {
 }
 
 // TestInstallPipelineEpochRace is the regression for the stale-planner
-// window: InstallHierarchical's epoch-mismatch handling forced callers to
-// retry manually, while the pipelined path re-validates internally. A
+// window: the pipelined path re-validates internally, so callers never
+// retry by hand. A
 // preparation that lost the race must be refused at commit, and
 // InstallPatch must absorb the race by re-preparing.
 func TestInstallPipelineEpochRace(t *testing.T) {
@@ -159,19 +159,16 @@ func TestPreparePatchMatchesRebuildServing(t *testing.T) {
 	}
 }
 
-// TestPreparePatchHierarchical covers both-table and pod-only engines:
-// the patch pipeline must keep the snapshot/pod epochs in lockstep.
+// TestPreparePatchHierarchical covers whole-room and pod engines: each
+// patch advances only the model its engine holds, and the generation
+// still holds exactly that one.
 func TestPreparePatchHierarchical(t *testing.T) {
 	const n = 16
-	both, err := FromSnapshots(testSnapshot(t, n, 0), testPods(t, n, 0))
+	podEngine, err := FromPodSnapshot(testPods(t, n, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	podOnly, err := FromPodSnapshot(testPods(t, n, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, e := range map[string]*Engine{"both": both, "podOnly": podOnly} {
+	for name, e := range map[string]*Engine{"whole-room": patchedEngine(t, n), "pod": podEngine} {
 		epoch, err := e.InstallPatch(driftOne(t, e, 2, 0.15))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -179,11 +176,14 @@ func TestPreparePatchHierarchical(t *testing.T) {
 		if epoch != 1 || e.Epoch() != 1 {
 			t.Fatalf("%s: epoch %d, want 1", name, e.Epoch())
 		}
-		if e.Pods() == nil || e.Pods().Epoch() != 1 {
-			t.Fatalf("%s: pod tables not advanced", name)
+		if name == "pod" && (e.Pods() == nil || e.Pods().Epoch() != 1 || e.Snapshot() != nil) {
+			t.Fatal("pod: tree not advanced alone")
 		}
-		if name == "both" && (e.Snapshot() == nil || e.Snapshot().Epoch() != 1) {
-			t.Fatal("both: exact tables not advanced")
+		if name == "whole-room" && (e.Snapshot() == nil || e.Snapshot().Epoch() != 1 || e.Pods() != nil) {
+			t.Fatal("whole-room: tables not advanced alone")
+		}
+		if s := e.Stats(); s.PatchInstalls != 1 || s.RebuildInstalls != 0 {
+			t.Fatalf("%s: install stats %+v", name, s)
 		}
 		if _, err := e.Plan(context.Background(), Request{Load: 6}); err != nil {
 			t.Fatalf("%s: serving after patch: %v", name, err)

@@ -28,11 +28,6 @@ var (
 	// the breaker open after repeated deadline failures. The request was
 	// not attempted; retrying after a backoff is safe.
 	ErrOverloaded = errors.New("engine: overloaded")
-	// ErrNoPath reports the request pinned a planning path the installed
-	// state cannot serve (hierarchical without pod tables, exact on a
-	// pod-only engine). Retrying is pointless until a different snapshot
-	// is installed.
-	ErrNoPath = errors.New("engine: no planning path")
 	// ErrBadAvoid reports an avoid list naming a machine outside the
 	// room — the client's inventory is stale.
 	ErrBadAvoid = errors.New("engine: avoid list names a machine outside the room")

@@ -67,27 +67,13 @@ func TestDegradedHierarchicalRouting(t *testing.T) {
 			t.Fatalf("avoided machine %d is on", i)
 		}
 	}
-	// Mode pinning: hier on a snap+pods engine routes the same way even
-	// below the auto threshold.
-	both, err := FromSnapshots(testSnapshot(t, n, 0), testPods(t, n, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = both.Plan(context.Background(), Request{Load: 20, Avoid: avoid, Mode: ModeHier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded || !resp.Hierarchical {
-		t.Fatalf("pinned hier: Degraded=%t Hierarchical=%t", resp.Degraded, resp.Hierarchical)
-	}
-	// Auto below threshold on a snap+pods engine stays exact (flat
-	// degraded sweep) — the routing must not regress the small-room path.
-	resp, err = both.Plan(context.Background(), Request{Load: 21, Avoid: avoid})
+	// A whole-room engine of the same room keeps the flat degraded sweep.
+	resp, err = testEngine(t, n).Plan(context.Background(), Request{Load: 20, Avoid: avoid})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.Degraded || resp.Hierarchical {
-		t.Fatalf("auto small room: Degraded=%t Hierarchical=%t, want flat", resp.Degraded, resp.Hierarchical)
+		t.Fatalf("whole-room engine: Degraded=%t Hierarchical=%t, want flat", resp.Degraded, resp.Hierarchical)
 	}
 }
 
@@ -138,30 +124,6 @@ func TestBadAvoidRejected(t *testing.T) {
 	}
 }
 
-// TestModeMismatchIsNoPath: pinning a path the installed state cannot
-// serve is ErrNoPath — the FromSnapshots pod-only hole answers typed
-// instead of panicking or silently degrading.
-func TestModeMismatchIsNoPath(t *testing.T) {
-	podOnly, err := FromPodSnapshot(testPods(t, 16, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := podOnly.Plan(context.Background(), Request{Load: 4, Mode: ModeExact}); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("exact on pod-only: err = %v, want ErrNoPath", err)
-	}
-	snapOnly := testEngine(t, 16)
-	if _, err := snapOnly.Plan(context.Background(), Request{Load: 4, Mode: ModeHier}); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("hier without pods: err = %v, want ErrNoPath", err)
-	}
-	// And the pod-only engine must answer every avoid/safe shape.
-	if _, err := podOnly.Plan(context.Background(), Request{Load: 4, Avoid: []int{2}}); err != nil {
-		t.Fatalf("pod-only avoid: %v", err)
-	}
-	if _, err := podOnly.Plan(context.Background(), Request{Load: 4, Safe: true, AchievedSupplyC: 18}); err != nil {
-		t.Fatalf("pod-only safe: %v", err)
-	}
-}
-
 // TestMaxInFlightSheds: with a bound of 1, a second concurrent cache
 // miss is shed with ErrOverloaded while the first computes; cache hits
 // keep serving.
@@ -175,7 +137,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 			<-release
 		}
 	}
-	e, err := FromSnapshots(testSnapshot(t, 16, 0), nil, WithMaxInFlight(1), WithComputeHook(hook))
+	e, err := FromSnapshot(testSnapshot(t, 16, 0), WithMaxInFlight(1), WithComputeHook(hook))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +224,7 @@ func TestBreakerTripShedsAndRecovers(t *testing.T) {
 			<-ctx.Done()
 		}
 	}
-	e, err := FromSnapshots(testSnapshot(t, 16, 0), nil, WithComputeHook(hook))
+	e, err := FromSnapshot(testSnapshot(t, 16, 0), WithComputeHook(hook))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +283,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 			<-ctx.Done()
 		}
 	}
-	e, err := FromSnapshots(testSnapshot(t, 16, 0), nil, WithComputeHook(hook))
+	e, err := FromSnapshot(testSnapshot(t, 16, 0), WithComputeHook(hook))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,9 +329,8 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	}
 }
 
-// TestInstallDuringTrafficKeepsTyped: InstallHierarchical's own state
-// build runs under the install gate; a pod-build failure via the
-// injectable check leaves the old state serving.
+// TestFailedInstallKeepsServing: a pod-build failure via the injectable
+// check never reaches an install, and the old state keeps serving.
 func TestFailedInstallKeepsServing(t *testing.T) {
 	e := testEngine(t, 16)
 	ctx := context.Background()

@@ -13,10 +13,10 @@ import (
 // and the failure-burst shapes the degraded planner must absorb.
 
 // SlowInstall holds the engine's install gate open, simulating a
-// minutes-long snapshot build feeding a later InstallHierarchical: cache
-// misses shed with engine.ErrOverloaded and /v1/readyz reports not
-// ready until the returned release func is called. Release is
-// idempotent.
+// minutes-long table build feeding a later Install or
+// InstallHierarchical (whole-room tables or a pod tree): cache misses
+// shed with engine.ErrOverloaded and /v1/readyz reports not ready until
+// the returned release func is called. Release is idempotent.
 func SlowInstall(e *engine.Engine) (release func()) {
 	return e.BeginInstall()
 }

@@ -271,9 +271,9 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePlan serves Engine.Plan: ?load=<units> with optional
-// &method=<1-8>, &mode=exact|hier, &avoid=<id,id,...>, &safe=true,
-// &supply=<°C>, &margin=<°C>. Served straight off the engine's
-// snapshot — no room lock.
+// &method=<1-8>, &avoid=<id,id,...>, &safe=true, &supply=<°C>,
+// &margin=<°C>. Served straight off the engine's snapshot — no room
+// lock.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if s.engine == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("no planning engine configured"))
@@ -293,16 +293,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.Method = baseline.Method(m)
-	}
-	switch q.Get("mode") {
-	case "", "auto":
-	case "exact":
-		req.Mode = engine.ModeExact
-	case "hier":
-		req.Mode = engine.ModeHier
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad mode %q (want exact or hier)", q.Get("mode")))
-		return
 	}
 	if raw := q.Get("avoid"); raw != "" {
 		for _, part := range strings.Split(raw, ",") {

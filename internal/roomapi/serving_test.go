@@ -132,8 +132,8 @@ func TestPlanEndpointsWithoutEngine(t *testing.T) {
 	}
 }
 
-// newHierServingServer installs both an exact snapshot and a pod
-// decomposition, so mode=exact and mode=hier are both answerable.
+// newHierServingServer backs the planning endpoints with a pod engine
+// over the same synthetic room shape as newServingServer.
 func newHierServingServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	room, err := sim.NewDefault(1)
@@ -151,15 +151,11 @@ func newHierServingServer(t *testing.T) *httptest.Server {
 		TMaxC: 65, TAcMinC: 10, TAcMaxC: 25,
 		Machines: machines,
 	}
-	snap, err := core.NewSnapshot(p, 0, core.WithMaxMachines(n))
-	if err != nil {
-		t.Fatal(err)
-	}
 	pods, err := core.NewPodSnapshot(p, 0, core.WithPodCount(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.FromSnapshots(snap, pods)
+	eng, err := engine.FromPodSnapshot(pods)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,30 +168,24 @@ func newHierServingServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func TestPlanEndpointMode(t *testing.T) {
-	ts := newHierServingServer(t)
-	var hier PlanResult
-	if code := getJSON(t, ts.URL+"/v1/plan?load=3&mode=hier", &hier); code != 200 {
-		t.Fatalf("mode=hier status %d", code)
-	}
-	if !hier.Hierarchical {
-		t.Fatalf("mode=hier answer not marked hierarchical: %+v", hier)
-	}
-	var exact PlanResult
-	if code := getJSON(t, ts.URL+"/v1/plan?load=3&mode=exact", &exact); code != 200 {
-		t.Fatalf("mode=exact status %d", code)
-	}
-	if exact.Hierarchical {
-		t.Fatalf("mode=exact answer marked hierarchical: %+v", exact)
-	}
-	if code := getJSON(t, ts.URL+"/v1/plan?load=3&mode=sideways", nil); code != 400 {
-		t.Fatalf("bad mode status %d, want 400", code)
-	}
-	// mode only applies to the consolidating optimum; on an exact-only
-	// server the pod mode is a client error.
-	exactOnly := newServingServer(t)
-	if code := getJSON(t, exactOnly.URL+"/v1/plan?load=3&mode=hier", nil); code != 422 {
-		t.Fatalf("mode=hier without pods: status %d, want 422", code)
+// TestPlanEndpointServesInstalledTables: /v1/plan answers from whichever
+// model the engine holds — a pod engine marks its consolidating and
+// degraded answers hierarchical, a whole-room engine never does.
+func TestPlanEndpointServesInstalledTables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ts   *httptest.Server
+		hier bool
+	}{{"pod", newHierServingServer(t), true}, {"whole-room", newServingServer(t), false}} {
+		for _, query := range []string{"load=3", "load=3&avoid=2,5"} {
+			var plan PlanResult
+			if code := getJSON(t, tc.ts.URL+"/v1/plan?"+query, &plan); code != 200 {
+				t.Fatalf("%s %s: status %d", tc.name, query, code)
+			}
+			if plan.Hierarchical != tc.hier {
+				t.Fatalf("%s %s: hierarchical=%t, want %t", tc.name, query, plan.Hierarchical, tc.hier)
+			}
+		}
 	}
 }
 

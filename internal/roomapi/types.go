@@ -19,7 +19,7 @@
 // serve queries straight off the engine's immutable snapshot, never
 // touching the room or its lock:
 //
-//	GET /v1/plan?load=12.5[&method=8][&mode=exact|hier][&avoid=3,7][&safe=true][&supply=22][&margin=2.5]
+//	GET /v1/plan?load=12.5[&method=8][&avoid=3,7][&safe=true][&supply=22][&margin=2.5]
 //	GET /v1/consolidate?load=12.5[&mink=13]
 //	GET /v1/maxload?budget=5000
 //	GET /v1/stats                      cache and snapshot counters

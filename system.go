@@ -158,9 +158,9 @@ func (o hierarchyOption) apply(opts *options) {
 }
 
 // WithHierarchy additionally builds pod-sharded consolidation tables
-// (WithPodSize, WithPodCount, WithPodBuildWorkers) and installs them in
-// the engine alongside the exact snapshot, enabling the hierarchical
-// planning path for large rooms.
+// (WithPodSize, WithPodCount, WithPodBuildWorkers) and serves the engine
+// from them instead of the whole-room snapshot; Planner and Snapshot keep
+// the whole-room tables.
 func WithHierarchy(opts ...PodOption) Option { return hierarchyOption(opts) }
 
 type engineOptsOption []engine.Option
@@ -272,15 +272,17 @@ func NewSystem(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coolopt: planner: %w", err)
 	}
-	eng := engine.New(planner, o.engOpts...)
+	var eng *engine.Engine
 	if o.hier {
 		pods, err := core.NewPodSnapshot(res.Profile, 0, o.podOpts...)
 		if err != nil {
 			return nil, fmt.Errorf("coolopt: pod tables: %w", err)
 		}
-		if err := eng.InstallHierarchical(snap, pods); err != nil {
+		if eng, err = engine.FromPodSnapshot(pods, o.engOpts...); err != nil {
 			return nil, fmt.Errorf("coolopt: hierarchy: %w", err)
 		}
+	} else {
+		eng = engine.New(planner, o.engOpts...)
 	}
 	return &System{sim: s, profiling: res, planner: planner, engine: eng, opts: o}, nil
 }
@@ -319,12 +321,13 @@ func (s *System) Planner() *Planner { return s.planner }
 func (s *System) Snapshot() *Snapshot { return s.planner.Snapshot() }
 
 // Engine returns the concurrent plan-serving engine over the system's
-// snapshot. Clones share the engine: it only touches the frozen model,
+// whole-room snapshot, or over its pod tables under WithHierarchy. Clones
+// share the engine: it only touches the frozen model,
 // never the simulated room.
 func (s *System) Engine() *Engine { return s.engine }
 
-// Pods returns the pod-sharded consolidation tables built under
-// WithHierarchy, or nil when the system plans exactly only.
+// Pods returns the pod-sharded consolidation tables the engine serves
+// under WithHierarchy, or nil when it serves the whole-room tables.
 func (s *System) Pods() *PodSnapshot { return s.engine.Pods() }
 
 // Size returns the number of machines.
