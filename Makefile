@@ -20,10 +20,12 @@ GO ?= go
 # answers against the exact generation their epoch claims while installs
 # trickle; perfbench-smoke runs the end-to-end benchmark's zipf-http
 # workload for a second and fails on any wrong answer or failed
-# operation; cover ratchets combined internal/core + internal/engine
-# statement coverage against the committed coverage_baseline.json.
+# operation; fuzz-smoke fuzzes the leaf planner's early-stopping k sweep
+# against its full-sweep oracle for ten seconds; cover ratchets combined
+# internal/core + internal/engine statement coverage against the
+# committed coverage_baseline.json.
 .PHONY: ci
-ci: fmt-check vet lint race build serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke perfbench-smoke cover
+ci: fmt-check vet lint race build serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke perfbench-smoke fuzz-smoke cover
 
 .PHONY: build
 build:
@@ -176,6 +178,14 @@ perfbench-smoke:
 	else \
 		echo "perfbench-smoke: want \"correct\":true and \"failed\":0, got:"; echo "$$out"; exit 1; \
 	fi
+
+# fuzz-smoke runs FuzzClampedSelect for ten seconds: random small rooms,
+# clamp bounds and loads, where clampedSelect's cooling-floor stop must
+# pick the full sweep's k, event and score bit for bit. New failing
+# inputs land in internal/core/testdata/fuzz/FuzzClampedSelect.
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzClampedSelect -fuzztime 10s ./internal/core
 
 # cover runs the full test suite with atomic coverage and ratchets the
 # combined internal/core + internal/engine statement coverage against

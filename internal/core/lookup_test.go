@@ -525,16 +525,20 @@ func FuzzBestTimeFor(f *testing.F) {
 	})
 }
 
-// BenchmarkLeafSweep times clampedSelect's k sweep on one 512-machine
-// leaf — a lookup for every k ≥ ⌈load⌉ at five loads — with the
-// piece-first search beside the event-grid oracle it replaced.
+// BenchmarkLeafSweep times a k sweep on one 512-machine leaf at five
+// loads: a lookup for every k ≥ ⌈load⌉, with the piece-first search
+// beside the event-grid oracle it replaced, and clampedSelect itself —
+// under the cooling leverage of a pod in a 128-pod room, where the
+// cooling floor stops the sweep after about one k — including the
+// winner's front set.
 func BenchmarkLeafSweep(b *testing.B) {
 	const n = 512
-	pp := mustPreprocess(b, hierProfile(n).Reduce())
+	p := hierProfile(n)
+	pp := mustPreprocess(b, p.Reduce())
+	loads := []float64{0.1 * n, 0.3 * n, 0.5 * n, 0.7 * n, 0.9 * n}
 	sweep := func(b *testing.B, lookup func(k int, load float64) (float64, int, bool)) {
 		for i := 0; i < b.N; i++ {
-			for _, f := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-				load := f * n
+			for _, load := range loads {
 				for k := int(math.Ceil(load)); k <= n; k++ {
 					lookup(k, load)
 				}
@@ -543,4 +547,14 @@ func BenchmarkLeafSweep(b *testing.B) {
 	}
 	b.Run("piece-first", func(b *testing.B) { sweep(b, pp.bestTimeFor) })
 	b.Run("nested", func(b *testing.B) { sweep(b, pp.bestTimeForNested) })
+	b.Run("clamped", func(b *testing.B) {
+		bounds := p.bounds(1.0 / 128)
+		for i := 0; i < b.N; i++ {
+			for _, load := range loads {
+				if k, e, _ := clampedSelect(pp, load, bounds); k > 0 {
+					pp.frontSet(e, k)
+				}
+			}
+		}
+	})
 }

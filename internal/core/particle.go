@@ -159,9 +159,20 @@ func Preprocess(r Reduced, opts ...PreprocessOption) (*Preprocessed, error) {
 // breaking coordinate ties by increasing speed b (the particle that will
 // lead immediately after t) and then by ID for determinism.
 func orderAt(pairs []Pair, t float64) []int {
-	ps := make([]particle, len(pairs))
-	for i := range ps {
-		ps[i] = particleAt(pairs, i, t)
+	order := make([]int, len(pairs))
+	for i := range order {
+		order[i] = i
+	}
+	sortFront(pairs, order, t)
+	return order
+}
+
+// sortFront sorts ids front-most first at time t under particleLess's
+// strict total order, computing each coordinate once, not per comparison.
+func sortFront(pairs []Pair, ids []int, t float64) {
+	ps := make([]particle, len(ids))
+	for i, id := range ids {
+		ps[i] = particleAt(pairs, id, t)
 	}
 	slices.SortFunc(ps, func(p, q particle) int {
 		if p.ahead(q) {
@@ -169,11 +180,9 @@ func orderAt(pairs []Pair, t float64) []int {
 		}
 		return 1
 	})
-	order := make([]int, len(ps))
 	for i, p := range ps {
-		order[i] = p.id
+		ids[i] = p.id
 	}
-	return order
 }
 
 // particleLess is the strict total order of particles at time t: by
@@ -323,10 +332,11 @@ func (pp *Preprocessed) lastCovered(k int, load float64, bl *budgetLine) (j, e i
 
 // frontSet returns the k front-most machine IDs on event interval e in
 // ascending ID order: a quickselect of the top k under particleLess's
-// order at the interval's sample time, O(n) expected. particleLess is a
-// strict total order, so the set is exactly frontSetRebuild's (the
-// property tests enforce it). Buffers are call-local, so queries never
-// write to the Preprocessed and are safe for concurrent use.
+// order at the interval's sample time, read back through an ID mask, so
+// O(n) expected with no sort; a pod leaf pays it once per plan. The
+// order is strict and total, so the set is exactly frontSetRebuild's
+// (the property tests enforce it). Buffers are call-local, so queries
+// never write to the Preprocessed and are safe for concurrent use.
 func (pp *Preprocessed) frontSet(e, k int) []int {
 	pairs := pp.reduced.Pairs
 	t := pp.sampleTime(e)
@@ -335,12 +345,11 @@ func (pp *Preprocessed) frontSet(e, k int) []int {
 		ps[i] = particleAt(pairs, i, t)
 	}
 	selectFront(ps, k)
-	subset := make([]int, k)
-	for i := range subset {
-		subset[i] = ps[i].id
+	on := make([]bool, len(pairs))
+	for _, p := range ps[:k] {
+		on[p.id] = true
 	}
-	sort.Ints(subset)
-	return subset
+	return unionFromMask(on, k)
 }
 
 // selectFront reorders ps so that its first k entries are the k front-most

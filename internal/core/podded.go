@@ -370,7 +370,6 @@ func (pt *planTree) refineUnion(union []int, load float64) []int {
 // degraded path passes its avoid set; the healthy path passes nil.
 func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool) []int {
 	r := pt.room
-	p := pt.profile
 	n := len(r.Pairs)
 	in := make([]bool, n)
 	var sumA, sumB float64
@@ -386,23 +385,13 @@ func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool
 	}
 	// score is the clamped room power of a candidate aggregate, the same
 	// objective clampedSelect ranks subset sizes with.
+	b := pt.profile.bounds(1)
 	score := func(k int, sumA, sumB float64) (float64, bool) {
 		t := (sumA - load) / sumB
 		if t < 0 {
 			return 0, false
 		}
-		tAc := p.W1 * t
-		if tAc > p.TAcMaxC {
-			tAc = p.TAcMaxC
-		}
-		if tAc < p.TAcMinC {
-			return 0, false
-		}
-		cooling := p.CoolFactor * (p.SetPointC - tAc)
-		if cooling < 0 {
-			cooling = 0
-		}
-		return cooling + p.W1*load + float64(k)*p.W2, true
+		return b.power(k, t, load)
 	}
 	cur, ok := score(k, sumA, sumB)
 	if !ok {

@@ -133,9 +133,9 @@ func waterFill(aggs []podAgg, load float64) []float64 {
 // survivorSelect picks one affected pod's on-set over its surviving
 // machines: survivors ordered front-most at the pod's own particle time
 // for its allocated load, then every prefix size k ≥ ⌈load⌉ scored with
-// the clamped Eq. 23 objective — the same scoring clampedSelect applies
-// to the kinetic tables, restricted to the survivor prefix order. pairs
-// and surv are pod-local; the returned indices are pod-local too.
+// the clamped Eq. 23 objective and cooling-floor stop clampedSelect
+// applies to the kinetic tables, restricted to the survivor prefix
+// order. pairs and surv are pod-local, as are the returned indices.
 func survivorSelect(pairs []Pair, surv []int, load float64, b clampBounds) ([]int, bool) {
 	m := len(surv)
 	minK := int(math.Ceil(load - 1e-9))
@@ -155,9 +155,7 @@ func survivorSelect(pairs []Pair, surv []int, load float64, b clampBounds) ([]in
 		t0 = 0
 	}
 	order := append([]int(nil), surv...)
-	sort.Slice(order, func(x, y int) bool {
-		return particleLess(pairs, order[x], order[y], t0)
-	})
+	sortFront(pairs, order, t0)
 	var prefA, prefB float64
 	bestK := 0
 	bestPower := math.Inf(1)
@@ -167,23 +165,14 @@ func survivorSelect(pairs []Pair, surv []int, load float64, b clampBounds) ([]in
 		if k < minK {
 			continue
 		}
+		if b.floor(k, load) >= bestPower-1e-9 {
+			break // no larger prefix can win (clampBounds.floor)
+		}
 		t := (prefA - load) / prefB
 		if t < 0 {
 			continue
 		}
-		tAc := b.W1 * t
-		if tAc > b.TAcMaxC {
-			tAc = b.TAcMaxC
-		}
-		if tAc < b.TAcMinC {
-			continue
-		}
-		cooling := b.CoolFactor * (b.SetPointC - tAc)
-		if cooling < 0 {
-			cooling = 0
-		}
-		power := cooling + b.W1*load + float64(k)*b.W2
-		if power < bestPower-1e-9 {
+		if power, ok := b.power(k, t, load); ok && power < bestPower-1e-9 {
 			bestPower, bestK = power, k
 		}
 	}
@@ -242,9 +231,7 @@ func (pt *planTree) growUnion(union []int, load float64, blocked []bool) []int {
 			rest = append(rest, i)
 		}
 	}
-	sort.Slice(rest, func(x, y int) bool {
-		return particleLess(r.Pairs, rest[x], rest[y], t)
-	})
+	sortFront(r.Pairs, rest, t)
 	for _, i := range rest {
 		union = append(union, i)
 		sumA += r.Pairs[i].A

@@ -288,3 +288,26 @@ func TestPodSnapshotValidation(t *testing.T) {
 		t.Fatal("invalid profile accepted")
 	}
 }
+
+// BenchmarkColdPodPlan times cold PodSnapshot.Plan calls on a
+// 65 536-machine hierProfile room in 128 pods of 512 — the room size of
+// perfbench's cold-large workload — cycling 97 loads over 5–95 % of
+// capacity. A snapshot holds no plan cache, so every call is cold.
+// Builds the pod tables first (~10 s, ~0.8 GB).
+func BenchmarkColdPodPlan(b *testing.B) {
+	const n = 65536
+	ps, err := NewPodSnapshot(hierProfile(n), 0, WithPodSize(512))
+	if err != nil {
+		b.Fatal(err)
+	}
+	loads := make([]float64, 97)
+	for i := range loads {
+		loads[i] = (0.05 + 0.9*float64(i)/96) * n
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ps.Plan(loads[i%len(loads)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -203,17 +203,14 @@ func (pt *planTree) selectFor(u *Unit, load float64, aggs []podAgg, surv [][]int
 			if !ok {
 				local = append([]int(nil), surv[u.lo]...)
 			}
+		} else if k, e, _ := clampedSelect(pd.pre, load, pd.bounds); k > 0 {
+			local = pd.pre.frontSet(e, k)
+		} else if pt.flat {
+			return fmt.Errorf("%w: no machine subset satisfies load %v within constraints", ErrInfeasible, load)
 		} else {
-			var ok bool
-			local, ok = clampedSelect(pd.pre, load, pd.bounds)
-			if !ok {
-				if pt.flat {
-					return fmt.Errorf("%w: no machine subset satisfies load %v within constraints", ErrInfeasible, load)
-				}
-				local = make([]int, len(pd.ids))
-				for i := range local {
-					local[i] = i
-				}
+			local = make([]int, len(pd.ids))
+			for i := range local {
+				local[i] = i
 			}
 		}
 		for _, li := range local {
@@ -464,9 +461,7 @@ func (pt *planTree) topUp(union []int, load float64, minK int) ([]int, error) {
 			rest = append(rest, i)
 		}
 	}
-	sort.Slice(rest, func(x, y int) bool {
-		return particleLess(pt.room.Pairs, rest[x], rest[y], t)
-	})
+	sortFront(pt.room.Pairs, rest, t)
 	out := append(append([]int(nil), union...), rest[:minK-len(union)]...)
 	sort.Ints(out)
 	return out, nil
@@ -563,12 +558,6 @@ func makeLeaf(room Reduced, p *Profile, ids []int, totalB float64) *pod {
 			SetPointC:  p.SetPointC,
 			W1:         p.W1,
 		},
-		bounds: clampBounds{
-			W1: p.W1, W2: p.W2,
-			CoolFactor: p.CoolFactor * share,
-			SetPointC:  p.SetPointC,
-			TAcMinC:    p.TAcMinC,
-			TAcMaxC:    p.TAcMaxC,
-		},
+		bounds: p.bounds(share),
 	}
 }
