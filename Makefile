@@ -21,7 +21,8 @@ GO ?= go
 # trickle; perfbench-smoke runs the end-to-end benchmark's zipf-http
 # workload for a second and fails on any wrong answer or failed
 # operation; fuzz-smoke fuzzes the leaf planner's early-stopping k sweep
-# against its full-sweep oracle for ten seconds; cover ratchets combined
+# against its full-sweep oracle and the crossing radix sort against the
+# comparison sort, ten seconds each; cover ratchets combined
 # internal/core + internal/engine statement coverage against the
 # committed coverage_baseline.json.
 .PHONY: ci
@@ -179,13 +180,18 @@ perfbench-smoke:
 		echo "perfbench-smoke: want \"correct\":true and \"failed\":0, got:"; echo "$$out"; exit 1; \
 	fi
 
-# fuzz-smoke runs FuzzClampedSelect for ten seconds: random small rooms,
-# clamp bounds and loads, where clampedSelect's cooling-floor stop must
-# pick the full sweep's k, event and score bit for bit. New failing
-# inputs land in internal/core/testdata/fuzz/FuzzClampedSelect.
+# fuzz-smoke runs two fuzz targets for ten seconds each.
+# FuzzClampedSelect draws random small rooms, clamp bounds and loads,
+# where clampedSelect's cooling-floor stop must pick the full sweep's k,
+# event and score bit for bit. FuzzSortCrossings draws crossing lists
+# (ties, 1-ulp neighbours, subnormals, MaxFloat64, +Inf) on both sides of
+# the insertion-sort cutoff, where the radix sort must match the
+# comparison sort's time sequence and keep every record. New failing
+# inputs land in internal/core/testdata/fuzz/<target>.
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzClampedSelect -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzClampedSelect$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSortCrossings$$' -fuzztime 10s ./internal/core
 
 # cover runs the full test suite with atomic coverage and ratchets the
 # combined internal/core + internal/engine statement coverage against

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"coolopt/internal/mathx"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -49,7 +50,8 @@ func sweepWorkers(w int) int {
 // and groups simultaneous crossings. It returns the distinct event times
 // (starting with 0), the time-sorted crossing records, and bucketEnd,
 // where the crossings of event e>0 are crossings[bucketEnd[e-1]:bucketEnd[e]]
-// (bucketEnd[0] = 0).
+// (bucketEnd[0] = 0). Only t > 0 is kept, which also drops NaN: that
+// precondition is what lets sortCrossings order the times by their bits.
 func collectEvents(pairs []Pair, workers int) (events []float64, crossings []crossing, bucketEnd []int) {
 	n := len(pairs)
 	workers = sweepWorkers(workers)
@@ -71,17 +73,19 @@ func collectEvents(pairs []Pair, workers int) (events []float64, crossings []cro
 	}
 	chunks = append(chunks, [2]int{lo, n})
 
+	// Every worker writes into its own row range's region of one slice
+	// sized for all n(n−1)/2 pairs, and the same slice is then the radix
+	// sort's second buffer: a build holds at most two crossing copies.
+	all := make([]crossing, n*(n-1)/2)
 	parts := make([][]crossing, len(chunks))
 	var wg sync.WaitGroup
 	for c, ch := range chunks {
+		// Rows before ch[0] hold ch[0]·n − ch[0](ch[0]+1)/2 pairs.
+		parts[c] = all[ch[0]*n-ch[0]*(ch[0]+1)/2:][:0]
 		wg.Add(1)
 		go func(c, pLo, pHi int) {
 			defer wg.Done()
-			cap := 0
-			for p := pLo; p < pHi; p++ {
-				cap += n - 1 - p
-			}
-			out := make([]crossing, 0, cap)
+			out := parts[c]
 			for p := pLo; p < pHi; p++ {
 				ap, bp := pairs[p].A, pairs[p].B
 				for q := p + 1; q < n; q++ {
@@ -100,26 +104,129 @@ func collectEvents(pairs []Pair, workers int) (events []float64, crossings []cro
 	}
 	wg.Wait()
 
-	total := 0
-	for _, part := range parts {
-		total += len(part)
-	}
-	crossings = make([]crossing, 0, total)
-	for _, part := range parts {
-		crossings = append(crossings, part...)
-	}
-	slices.SortFunc(crossings, func(a, b crossing) int { return cmp.Compare(a.t, b.t) })
-
+	crossings = sortCrossings(parts, all)
 	events, bucketEnd = groupCrossings(crossings)
 	return events, crossings, bucketEnd
+}
+
+// Radix-sort parameters for sortCrossings: radixBits-wide digits cover
+// the 63 bits a positive float64 can set (its sign bit is clear), and
+// inputs of at most radixSmall crossings are insertion-sorted instead.
+const (
+	radixBits   = 11
+	radixDigits = (63 + radixBits - 1) / radixBits
+	radixSmall  = 256
+)
+
+// sortCrossings returns the crossings of parts, concatenated in order and
+// stably sorted by time, in a new slice of exactly their total length.
+// Every time must satisfy t > 0 (so none is NaN): a positive float64's
+// IEEE-754 bit pattern, read as a uint64, orders exactly as its value,
+// +Inf included, so a least-significant-digit radix sort on
+// math.Float64bits(t) yields the time sequence a comparison sort yields,
+// and equal times keep their input order. One histogram pass counts every
+// digit; a digit shared by all keys skips its scatter pass. spare, at
+// least as long as the total, is the scatter passes' second buffer. It
+// may alias parts: nothing is written to spare before every part has
+// been read.
+func sortCrossings(parts [][]crossing, spare []crossing) []crossing {
+	total := 0
+	var key0 uint64
+	for _, part := range parts {
+		if total == 0 && len(part) > 0 {
+			key0 = math.Float64bits(part[0].t)
+		}
+		total += len(part)
+	}
+	out := make([]crossing, total)
+	if total <= radixSmall {
+		i := 0
+		for _, part := range parts {
+			i += copy(out[i:], part)
+		}
+		insertionSortCrossings(out)
+		return out
+	}
+
+	var counts [radixDigits][1 << radixBits]int
+	for _, part := range parts {
+		for _, c := range part {
+			k := math.Float64bits(c.t)
+			for d := range counts {
+				counts[d][k>>(d*radixBits)&(1<<radixBits-1)]++
+			}
+		}
+	}
+	var passes [radixDigits]int
+	m := 0
+	for d := range counts {
+		if counts[d][key0>>(d*radixBits)&(1<<radixBits-1)] != total {
+			passes[m] = d
+			m++
+		}
+	}
+
+	// The last pass must land in out. With an odd pass count the first
+	// pass scatters straight from parts into out; with an even one the
+	// parts are first concatenated into out. src stays nil until then.
+	var src []crossing
+	dst, other := out, spare[:total]
+	if m%2 == 0 {
+		i := 0
+		for _, part := range parts {
+			i += copy(out[i:], part)
+		}
+		src, dst, other = out, other, out
+	}
+	for _, d := range passes[:m] {
+		offs := &counts[d]
+		at := 0
+		for b, c := range offs {
+			offs[b] = at
+			at += c
+		}
+		if src == nil {
+			for _, part := range parts {
+				scatterCrossings(dst, part, offs, uint(d*radixBits))
+			}
+		} else {
+			scatterCrossings(dst, src, offs, uint(d*radixBits))
+		}
+		src, dst, other = dst, other, dst
+	}
+	return out
+}
+
+// scatterCrossings moves each crossing of src to dst at its digit's next
+// offset, advancing that offset: one stable counting-sort pass.
+func scatterCrossings(dst, src []crossing, offs *[1 << radixBits]int, shift uint) {
+	for _, c := range src {
+		b := math.Float64bits(c.t) >> shift & (1<<radixBits - 1)
+		dst[offs[b]] = c
+		offs[b]++
+	}
+}
+
+// insertionSortCrossings stably sorts a short crossing list by time.
+func insertionSortCrossings(a []crossing) {
+	for i := 1; i < len(a); i++ {
+		c := a[i]
+		j := i
+		for j > 0 && c.t < a[j-1].t {
+			a[j] = a[j-1]
+			j--
+		}
+		a[j] = c
+	}
 }
 
 // groupCrossings buckets a time-sorted crossing list into events: crossings
 // whose times are indistinguishable from the bucket's first time
 // (mathx.Same) share one event. The grouping depends only on the sorted
 // time sequence — never on the order of equal-time entries — which is what
-// lets the incremental patch path (patch.go) splice a merged list and
-// still reproduce a fresh build bit for bit.
+// lets sortCrossings' radix sort stand in for a comparison sort, and the
+// incremental patch path (patch.go) splice a merged list, and still
+// reproduce the same tables bit for bit.
 func groupCrossings(crossings []crossing) (events []float64, bucketEnd []int) {
 	events = make([]float64, 1, len(crossings)+1)
 	bucketEnd = make([]int, 1, len(crossings)+1)
@@ -269,7 +376,9 @@ func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd 
 			}
 			spans = append(spans, span{s, t})
 		}
-		slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.s, y.s) })
+		if len(spans) > 1 {
+			slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.s, y.s) })
+		}
 
 		for si := 0; si < len(spans); {
 			s, t := spans[si].s, spans[si].t
@@ -284,19 +393,26 @@ func sweepBlock(pairs []Pair, events []float64, crossings []crossing, bucketEnd 
 			// Re-sort the block at this interval's midpoint; if the
 			// sorted block is out of order with a neighbour (possible
 			// only under floating-point near-ties), widen and repeat.
-			// slices.SortFunc allocates nothing per event; particleLess
-			// is a strict total order, so any sort gives the same block.
+			// particleLess is a strict total order, so any sort gives the
+			// same block: a two-element block needs one comparison and at
+			// most a swap, and slices.SortFunc allocates nothing per event
+			// for the rest.
 			for {
-				seg := order[s : t+1]
-				slices.SortFunc(seg, func(x, y int) int {
-					switch {
-					case particleLess(pairs, x, y, sampleT):
-						return -1
-					case particleLess(pairs, y, x, sampleT):
-						return 1
+				if seg := order[s : t+1]; len(seg) == 2 {
+					if particleLess(pairs, seg[1], seg[0], sampleT) {
+						seg[0], seg[1] = seg[1], seg[0]
 					}
-					return 0
-				})
+				} else {
+					slices.SortFunc(seg, func(x, y int) int {
+						switch {
+						case particleLess(pairs, x, y, sampleT):
+							return -1
+						case particleLess(pairs, y, x, sampleT):
+							return 1
+						}
+						return 0
+					})
+				}
 				grew := false
 				if s > 0 && particleLess(pairs, order[s], order[s-1], sampleT) {
 					s--

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -135,5 +136,23 @@ func TestPreprocessDatacenterScale(t *testing.T) {
 		if got != sel.Power {
 			t.Fatalf("QueryExact(%v): power %v, subset recomputes to %v", load, sel.Power, got)
 		}
+	}
+}
+
+// BenchmarkPreprocess times whole-room kinetic table builds — pair
+// generation, crossing sort, sweep and arena layout — on hierProfile
+// rooms at the default worker count. The n=4096 build takes a few
+// seconds and ~1 GB of allocation.
+func BenchmarkPreprocess(b *testing.B) {
+	for _, n := range []int{512, 4096} {
+		r := hierProfile(n).Reduce()
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Preprocess(r, WithMaxMachines(n)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -27,8 +27,9 @@ import (
 //     actually pass each other change relative order, so the sweep repairs
 //     the order locally at each event (an O(1)-sized sort per ordinary
 //     event, widened into a block sort for ties and simultaneous
-//     crossings) instead of re-sorting all n particles — ~O(n² lg n)
-//     total, dominated by sorting the event list itself.
+//     crossings) instead of re-sorting all n particles. The event list
+//     itself is radix-sorted on the bits of its times, so a build is
+//     ~O(n²) in total.
 //
 //  2. Compressed tables. For each subset size k, the maximum k-subset
 //     coordinate sum S_k(t) is piecewise linear in t and only changes
@@ -122,7 +123,7 @@ type Preprocessed struct {
 }
 
 // Preprocess runs the kinetic form of Algorithm 1 on the reduced
-// instance. Time is ~O(n² lg n) and the retained tables are O(n²); n is
+// instance. Time is ~O(n²) and the retained tables are O(n²); n is
 // capped at DefaultMaxMachines by default (see WithMaxMachines).
 func Preprocess(r Reduced, opts ...PreprocessOption) (*Preprocessed, error) {
 	cfg := preprocessConfig{}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"coolopt/internal/mathx"
@@ -28,7 +26,7 @@ import (
 //     sorted crossing list retained (WithPatchSupport), Patch filters out
 //     the drifted pairs' entries, regenerates and sorts only the k·n new
 //     ones, merges the two sorted lists in O(n²) — skipping both the
-//     O(n²) pair generation and the dominant O(n² lg n) full sort — and
+//     O(n²) pair generation and the radix sort of all ~n²/2 times — and
 //     re-runs the standard sweep. The sweep's output depends only on the
 //     sorted time sequence and the per-event crossing sets (span merging
 //     is order-independent inside an event), so the result matches a
@@ -141,7 +139,7 @@ func applyDeltas(p *Profile, drifted []MachineDelta) (*Profile, []int, bool, err
 // the next epoch. The result is byte-for-byte identical to
 // NewSnapshot(patched profile, epoch+1, same options) — the differential
 // battery in patch_test.go enforces this — but skips the O(n²) pair
-// generation and the O(n² lg n) crossing sort when the receiver retained
+// generation and the full crossing sort when the receiver retained
 // its crossing list (WithPatchSupport); without retention, or when the
 // batch carries power-model drift (every crossing moves), it falls back
 // to a full rebuild. An empty batch shares the receiver's tables
@@ -241,10 +239,11 @@ func (pp *Preprocessed) patch(r2 Reduced, ids []int, cfg preprocessConfig) (*Pre
 			}
 		}
 	}
-	slices.SortFunc(fresh, func(a, b crossing) int { return cmp.Compare(a.t, b.t) })
+	fresh = sortCrossings([][]crossing{fresh}, fresh)
 
-	// Merge the two sorted lists. The merged order can permute exact-time
-	// ties relative to a fresh full sort, which is harmless: grouping
+	// Merge the two radix-sorted lists. Each keeps its exact-time ties
+	// in generation order, but the merged order can still permute them
+	// relative to a fresh full build, which is harmless: grouping
 	// depends only on the time sequence and the sweep only on each
 	// event's crossing set.
 	merged := make([]crossing, 0, len(kept)+len(fresh))

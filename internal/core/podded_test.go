@@ -289,6 +289,20 @@ func TestPodSnapshotValidation(t *testing.T) {
 	}
 }
 
+// BenchmarkPodBuild times NewPodSnapshot on a 65 536-machine hierProfile
+// room in 128 pods of 512 — cold-large's room — where the 128 leaf table
+// builds are the whole cost.
+func BenchmarkPodBuild(b *testing.B) {
+	p := hierProfile(65536)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewPodSnapshot(p, 0, WithPodSize(512)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkColdPodPlan times cold PodSnapshot.Plan calls on a
 // 65 536-machine hierProfile room in 128 pods of 512 — the room size of
 // perfbench's cold-large workload — cycling 97 loads over 5–95 % of
