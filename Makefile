@@ -4,7 +4,7 @@ GO ?= go
 # suite, race-enabled tests, a full build, and small serving-bench,
 # hierarchy-bench, and degraded-bench smoke runs. The race step guards
 # the concurrent paths (the plan engine, the parallel kinetic
-# preprocessing and pod-table sweeps, the figures.Collect worker pool,
+# preprocessing, the figures.Collect worker pool,
 # and the degraded-serving chaos hammer in internal/chaos); lint
 # enforces the determinism, unit-safety, and clone-discipline invariants
 # the experiments depend on plus the concurrency contracts of the
@@ -20,9 +20,10 @@ GO ?= go
 # answers against the exact generation their epoch claims while installs
 # trickle; perfbench-smoke runs the end-to-end benchmark's zipf-http
 # workload for a second and fails on any wrong answer or failed
-# operation; fuzz-smoke fuzzes the leaf planner's early-stopping k sweep
-# against its full-sweep oracle and the crossing radix sort against the
-# comparison sort, ten seconds each; cover ratchets combined
+# operation; fuzz-smoke fuzzes the table-backed leaf planner's
+# early-stopping k sweep against its full-sweep oracle, the table-free
+# leaf planner against exhaustive enumeration, and the crossing radix
+# sort against the comparison sort, ten seconds each; cover ratchets combined
 # internal/core + internal/engine statement coverage against the
 # committed coverage_baseline.json.
 .PHONY: ci
@@ -180,10 +181,13 @@ perfbench-smoke:
 		echo "perfbench-smoke: want \"correct\":true and \"failed\":0, got:"; echo "$$out"; exit 1; \
 	fi
 
-# fuzz-smoke runs two fuzz targets for ten seconds each.
+# fuzz-smoke runs three fuzz targets for ten seconds each.
 # FuzzClampedSelect draws random small rooms, clamp bounds and loads,
 # where clampedSelect's cooling-floor stop must pick the full sweep's k,
-# event and score bit for bit. FuzzSortCrossings draws crossing lists
+# event and score bit for bit. FuzzLeafSelect draws rooms of at most ten
+# machines, optionally survivor-masked, where the table-free leafSelect
+# must pick the k and the best time that enumerating every k-subset
+# finds. FuzzSortCrossings draws crossing lists
 # (ties, 1-ulp neighbours, subnormals, MaxFloat64, +Inf) on both sides of
 # the insertion-sort cutoff, where the radix sort must match the
 # comparison sort's time sequence and keep every record. New failing
@@ -191,6 +195,7 @@ perfbench-smoke:
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClampedSelect$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzLeafSelect$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSortCrossings$$' -fuzztime 10s ./internal/core
 
 # cover runs the full test suite with atomic coverage and ratchets the

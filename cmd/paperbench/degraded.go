@@ -15,7 +15,8 @@ import (
 // This file implements -degraded-bench and -degraded-chaos: the
 // robustness measurements for degraded-mode planning. The bench compares
 // pod-local degraded re-planning (PodSnapshot.PlanAvoiding — untouched
-// pods reuse their tables, only failure-touched pods recompute) against
+// pods plan over all their machines, failure-touched pods over their
+// survivors) against
 // the flat degraded re-plan (the O(n) closed-form prefix sweep over the
 // whole survivor pool) across failure-burst sizes and shapes, writing a
 // JSON trajectory (BENCH_degraded.json). The run doubles as a regression
@@ -58,7 +59,7 @@ func runDegradedBench(out io.Writer, path string, n, podCount int, gapMeanLimit,
 	p := syntheticProfile(n)
 	pods, err := coolopt.NewPodSnapshot(p, 0, coolopt.WithPodCount(podCount))
 	if err != nil {
-		return fmt.Errorf("pod tables n=%d: %w", n, err)
+		return fmt.Errorf("pod tree n=%d: %w", n, err)
 	}
 	res := degradedBench{
 		GeneratedUnix: benchClock.Now().Unix(),

@@ -25,8 +25,10 @@ type hierarchyPoint struct {
 	N     int `json:"n"`
 	Pods  int `json:"pods"`
 	Depth int `json:"depth"`
-	// BuildNS is the parallel pod-table build; Events and TableBytes sum
-	// the per-pod kinetic structures.
+	// BuildNS is the pod tree build: the profile copy and the leaves'
+	// pairs and aggregates. Events and TableBytes are 0, as pod leaves
+	// hold no kinetic tables; the fields keep the schema of earlier
+	// trajectories, whose pods did.
 	BuildNS    int64 `json:"build_ns"`
 	Events     int   `json:"events"`
 	TableBytes int   `json:"table_bytes"`
@@ -98,7 +100,7 @@ func runHierarchyBench(out io.Writer, path string, goroutines, queries, maxN, po
 			return err
 		})
 		if err != nil {
-			return fmt.Errorf("pod tables n=%d: %w", n, err)
+			return fmt.Errorf("pod tree n=%d: %w", n, err)
 		}
 		eng, err := coolopt.NewEngineFromPodSnapshot(pods)
 		if err != nil {

@@ -14,8 +14,8 @@ import (
 
 // This file implements -incremental-bench and -incremental-chaos: the
 // measurements for incremental snapshot maintenance. The bench compares
-// applying a k-machine drift batch through PodSnapshot.Patch (only the
-// touched pods' kinetic tables rebuild, untouched pods share theirs)
+// applying a k-machine drift batch through PodSnapshot.Patch (pod leaves
+// hold no tables, so a patch re-derives every leaf's aggregates in O(n))
 // against rebuilding the planning state from scratch, writing a JSON
 // trajectory (BENCH_incremental.json). The run doubles as a
 // regression gate: it fails if any k-machine point at the gate size stops
@@ -31,8 +31,8 @@ type incrementalPoint struct {
 	Shape   string `json:"shape"`
 	// PodPatchNS is the PodSnapshot.Patch latency for this batch.
 	PodPatchNS int64 `json:"pod_patch_ns"`
-	// PodRebuildSpeedup is the from-scratch pod-table rebuild over the
-	// patch; FullRebuildSpeedup is the from-scratch exact-table rebuild
+	// PodRebuildSpeedup is the from-scratch pod tree build over the
+	// patch (about 1: both are the same O(n) leaf setup); FullRebuildSpeedup is the from-scratch exact-table rebuild
 	// over the patch — what landing this drift batch cost before
 	// incremental maintenance existed.
 	PodRebuildSpeedup  float64 `json:"pod_rebuild_speedup"`
@@ -46,7 +46,7 @@ type incrementalBench struct {
 	GateDrifted   int     `json:"gate_drifted"`
 	CommitLimitNS int64   `json:"commit_limit_ns"`
 	// RebuildFlatNS and RebuildPodNS are the from-scratch build times of
-	// the exact tables (with crossing retention) and the pod tables.
+	// the exact tables (with crossing retention) and the pod tree.
 	// RetainedBytes is the extra memory the exact tables carry to stay
 	// patchable.
 	RebuildFlatNS int64 `json:"rebuild_flat_ns"`
@@ -89,7 +89,7 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 
 	// Full-rebuild baselines: the exact tables (what a drift batch cost
 	// before incremental maintenance — measured once, it is the slow
-	// path being retired) and the pod tables.
+	// path being retired) and the pod tree.
 	var snap *coolopt.Snapshot
 	flatD, err := bestOf(1, func() error {
 		var err error
@@ -113,7 +113,7 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 		return err
 	})
 	if err != nil {
-		return fmt.Errorf("pod tables n=%d: %w", n, err)
+		return fmt.Errorf("pod tree n=%d: %w", n, err)
 	}
 	res.RebuildPodNS = podD.Nanoseconds()
 
@@ -181,7 +181,7 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 	fmt.Fprintf(out, "incremental n=%d exact-table patch k=%d: %v (%.1f× the full rebuild)\n",
 		n, gateK, d, float64(res.RebuildFlatNS)/float64(res.FlatPatchNS))
 
-	// One pipelined install through the serving engine (pod tables, the
+	// One pipelined install through the serving engine (pod tree, the
 	// configuration that serves at this scale): the prepare runs off the
 	// hot path, the commit must stay a sub-millisecond pointer swap.
 	eng, err := coolopt.NewEngineFromPodSnapshot(pods)

@@ -145,8 +145,11 @@ func TestRunHierarchyBench(t *testing.T) {
 		t.Fatalf("points = %d, want 1", len(res.Points))
 	}
 	pt := res.Points[0]
-	if pt.N != 256 || pt.Pods != 4 || pt.BuildNS <= 0 || pt.TableBytes <= 0 {
+	if pt.N != 256 || pt.Pods != 4 || pt.BuildNS <= 0 {
 		t.Fatalf("incomplete point %+v", pt)
+	}
+	if pt.Events != 0 || pt.TableBytes != 0 {
+		t.Fatalf("table-free pods report tables: %+v", pt)
 	}
 	if pt.PlanColdQPS <= 0 || pt.PlanHotQPS <= 0 {
 		t.Fatalf("non-positive throughput %+v", pt)

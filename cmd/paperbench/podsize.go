@@ -138,7 +138,7 @@ func measurePodSize(p *coolopt.Profile, n, podSize, depth, queries int, exact *c
 		return err
 	})
 	if err != nil {
-		return podsizeCandidate{}, fmt.Errorf("pod tables n=%d pod_size=%d depth=%d: %w", n, podSize, depth, err)
+		return podsizeCandidate{}, fmt.Errorf("pod tree n=%d pod_size=%d depth=%d: %w", n, podSize, depth, err)
 	}
 	cand := podsizeCandidate{
 		PodSize: podSize,

@@ -118,7 +118,7 @@ func runServingBench(out io.Writer, path string, goroutines, queries, maxN int) 
 			return fmt.Errorf("snapshot n=%d: %w", n, err)
 		}
 		// Past the hierarchy threshold the production configuration
-		// serves from pod tables — measure that.
+		// serves from a pod tree — measure that.
 		var pods *coolopt.PodSnapshot
 		var podD time.Duration
 		var eng *coolopt.Engine
@@ -129,7 +129,7 @@ func runServingBench(out io.Writer, path string, goroutines, queries, maxN int) 
 				return err
 			})
 			if err != nil {
-				return fmt.Errorf("pod tables n=%d: %w", n, err)
+				return fmt.Errorf("pod tree n=%d: %w", n, err)
 			}
 			eng, err = coolopt.NewEngineFromPodSnapshot(pods)
 		} else {

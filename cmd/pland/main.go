@@ -74,8 +74,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	machines := fs.Int("machines", 20, "number of machines (single rack)")
 	racks := fs.Int("racks", 0, "number of racks in a row (0 = single rack of -machines)")
 	perRack := fs.Int("perrack", 20, "machines per rack when -racks is set")
-	workers := fs.Int("workers", 0, "preprocessing worker pool (0 = all cores)")
-	pods := fs.Int("pods", 0, "serve from pod-sharded planning tables with this many pods (0 = whole-room tables)")
+	workers := fs.Int("workers", 0, "whole-room preprocessing worker pool (0 = all cores)")
+	pods := fs.Int("pods", 0, "serve from a pod-sharded planner tree with this many table-free pods (0 = whole-room tables)")
 	podDepth := fs.Int("pod-depth", 0, "planner tree depth with -pods: 2 = flat pods, 3 = pods of pods (0 = calibrated default for the room size)")
 	timeout := fs.Duration("timeout", 0, "server-side compute deadline per planning request (0 = client deadline only)")
 	maxInFlight := fs.Int("max-inflight", 0, "max concurrent plan computations before shedding 503s (0 = unbounded)")
@@ -112,9 +112,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		podOpts := []coolopt.PodOption{coolopt.WithPodCount(*pods)}
 		if *podDepth > 0 {
 			podOpts = append(podOpts, coolopt.WithPodDepth(*podDepth))
-		}
-		if *workers > 0 {
-			podOpts = append(podOpts, coolopt.WithPodBuildWorkers(*workers))
 		}
 		opts = append(opts, coolopt.WithHierarchy(podOpts...))
 	}

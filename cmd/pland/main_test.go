@@ -39,7 +39,7 @@ func TestRunFlagError(t *testing.T) {
 }
 
 // TestRunServesHierarchical boots a pod-backed server and checks that
-// plans come from the pod tables and the stats endpoint over the wire.
+// plans come from the pod tree and the stats endpoint over the wire.
 func TestRunServesHierarchical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -141,7 +141,7 @@ const (
 // AllMethods lists the scenarios in paper order.
 var AllMethods = baseline.AllMethods
 
-// HierThreshold is the room size at and above which pod tables beat the
+// HierThreshold is the room size at and above which a pod tree beats the
 // whole-room tables for serving, from the measured pod-sizing calibration
 // curve (regenerated by `paperbench -podsize-sweep`).
 var HierThreshold = core.DefaultCalibration().HierThreshold
@@ -244,7 +244,3 @@ func WithPodCount(p int) PodOption { return core.WithPodCount(p) }
 // 3 groups pods into ≈√p pods of pods for fleet-scale rooms. Values ≤ 0
 // pick the calibrated depth for the room size.
 func WithPodDepth(d int) PodOption { return core.WithPodDepth(d) }
-
-// WithPodBuildWorkers bounds the parallel pod-table build pool; pod
-// tables are byte-identical regardless of the worker count.
-func WithPodBuildWorkers(w int) PodOption { return core.WithPodBuildWorkers(w) }

@@ -154,10 +154,7 @@ func (r Reduced) GreedyRatio(load float64, minK int) (Selection, error) {
 	if minK < 1 {
 		minK = 1
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
+	order := allIDs(n)
 	sort.Slice(order, func(x, y int) bool {
 		rx := r.Pairs[order[x]].A / r.Pairs[order[x]].B
 		ry := r.Pairs[order[y]].A / r.Pairs[order[y]].B

@@ -393,8 +393,8 @@ func TestLookupsMatchNested(t *testing.T) {
 }
 
 // TestLookupsMatchNestedOnPatchedRooms repeats the differential line on
-// tables rebuilt by Patch: the whole-room splice and every leaf of a
-// patched pod tree.
+// tables rebuilt by Patch, the whole-room splice, and on tables over
+// every leaf of a patched pod tree.
 func TestLookupsMatchNestedOnPatchedRooms(t *testing.T) {
 	rng := mathx.NewRand(41)
 	base := hierProfile(96)
@@ -402,7 +402,7 @@ func TestLookupsMatchNestedOnPatchedRooms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pods, err := NewPodSnapshot(base, 0, WithPodCount(4), WithPodBuildWorkers(1))
+	pods, err := NewPodSnapshot(base, 0, WithPodCount(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestLookupsMatchNestedOnPatchedRooms(t *testing.T) {
 		base = applyBatch(base, batch)
 		tables := []*Preprocessed{flat.Tables()}
 		for _, pd := range pods.pods {
-			tables = append(tables, pd.pre)
+			tables = append(tables, mustPreprocess(t, pd.reduced))
 		}
 		for i, pp := range tables {
 			label := fmt.Sprintf("round %d table %d", round, i)

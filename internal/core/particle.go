@@ -160,10 +160,7 @@ func Preprocess(r Reduced, opts ...PreprocessOption) (*Preprocessed, error) {
 // breaking coordinate ties by increasing speed b (the particle that will
 // lead immediately after t) and then by ID for determinism.
 func orderAt(pairs []Pair, t float64) []int {
-	order := make([]int, len(pairs))
-	for i := range order {
-		order[i] = i
-	}
+	order := allIDs(len(pairs))
 	sortFront(pairs, order, t)
 	return order
 }

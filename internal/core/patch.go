@@ -35,26 +35,21 @@ import (
 //     a fresh build at every measured size (EXPERIMENTS.md,
 //     "Incremental drift absorption").
 //
-//   - Pod tables. This is the fast path, and the reason the hierarchy
-//     pays twice: a drifted machine sits in exactly one pod leaf, so only
-//     that leaf's O((n/p)²) kinetic tables rebuild; every other leaf's
-//     event grid and segment arena are shared with the old snapshot by
-//     reference. The Eq. 21–22 aggregates (A_j, B_j, shares, the
-//     share-scaled cooling leverage Rho_j) are all O(n) scalars
-//     re-derived with the exact loops NewPodSnapshot runs, so they too
-//     are bit-identical — shares shift for every pod when any machine's
-//     B drifts, but the kinetic tables depend only on the pod's own
-//     pairs, which is why sharing the untouched tables is safe. The
-//     planner tree is rebuilt to the receiver's shape (same leaves, same
-//     depth) over the new leaves.
+//   - Pod leaves. They hold no tables, only their pairs and the
+//     Eq. 21–22 aggregates (A_j, B_j, shares, the share-scaled cooling
+//     leverage Rho_j), all O(n) scalars. Patch re-derives every leaf
+//     with the exact loops NewPodSnapshot runs over the receiver's
+//     partition, so the result is a cold build bit for bit — shares
+//     shift for every pod when any machine's B drifts. The planner tree
+//     is rebuilt to the receiver's shape (same leaves, same depth).
 //
 //   - Power-model drift. A batch may carry replacement room W1/W2
 //     (Eq. 9) coefficients alongside the per-machine thermal fits. K_i
 //     depends on W1 and W2 for every machine, so power drift moves every
-//     particle at once: no crossing survives and no pod is untouched.
-//     Both Patch paths detect this (PowerDrift) and rebuild everything —
-//     still bit-identical to a fresh build over the patched profile,
-//     just without the incremental discount.
+//     particle at once and no crossing survives. The flat Patch detects
+//     this (PowerDrift) and rebuilds its tables — still bit-identical to
+//     a fresh build over the patched profile, just without the
+//     incremental discount. The pod Patch re-derives every leaf anyway.
 
 // MachineDelta is one machine's re-profiled Eq. 8 coefficients, the unit
 // of drift the recursive-least-squares refresher (internal/profiling)
@@ -267,71 +262,23 @@ func (pp *Preprocessed) patch(r2 Reduced, ids []int, cfg preprocessConfig) (*Pre
 }
 
 // Patch returns a new deep-frozen pod snapshot with the drifted machines'
-// coefficients replaced, tagged with the next epoch. Only the pods
-// containing drifted machines rebuild their kinetic tables — all of them
-// when the batch carries power-model drift, since every K_i moves — and
-// every other pod shares its event grid and segment arena with the
-// receiver, with the cheap Eq. 21–22 aggregates (sums, shares,
-// share-scaled cooling leverage) re-derived for all pods with
-// NewPodSnapshot's exact loops. The planner tree is rebuilt to the
-// receiver's shape (same leaves, same depth). The result is byte-for-byte
-// identical to NewPodSnapshot(patched profile, epoch+1,
-// WithPodCount(ps.Pods()), WithPodDepth(receiver's depth)). The partition
-// is inherited from the receiver — WithPodSize/WithPodCount/WithPodDepth
-// options are ignored; WithPodBuildWorkers and WithPodBuildCheck apply to
-// the touched-pod rebuilds.
-func (ps *PodSnapshot) Patch(drifted []MachineDelta, opts ...PodOption) (*PodSnapshot, error) {
-	p2, ids, powerDrift, err := applyDeltas(ps.profile, drifted)
+// coefficients replaced, tagged with the next epoch. Pod leaves hold no
+// tables, so every leaf's pairs and Eq. 21–22 aggregates (sums, shares,
+// share-scaled cooling leverage) are re-derived with NewPodSnapshot's
+// exact loops in O(n), and the planner tree is rebuilt to the receiver's
+// shape (same leaves, same depth). The result is byte-for-byte identical
+// to NewPodSnapshot(patched profile, epoch+1, WithPodCount(ps.Pods()),
+// WithPodDepth(receiver's depth)) — with or without power drift.
+func (ps *PodSnapshot) Patch(drifted []MachineDelta) (*PodSnapshot, error) {
+	p2, _, _, err := applyDeltas(ps.profile, drifted)
 	if err != nil {
 		return nil, err
 	}
-	cfg := podConfig{}
-	for _, opt := range opts {
-		opt(&cfg)
+	parts := make([][]int, len(ps.pods))
+	for j, pd := range ps.pods {
+		parts[j] = pd.ids
 	}
-
-	out := &PodSnapshot{epoch: ps.epoch + 1, planTree: planTree{profile: p2, depth: ps.depth}}
-	out.room = p2.Reduce()
-	for _, pr := range out.room.Pairs {
-		out.totalB += pr.B
-	}
-	driftedMask := make([]bool, p2.Size())
-	for _, id := range ids {
-		driftedMask[id] = true
-	}
-
-	var touched []int
-	out.pods = make([]*pod, 0, len(ps.pods))
-	for j, old := range ps.pods {
-		// makeLeaf re-derives the aggregates with the same loop
-		// NewPodSnapshot runs, so the sums accumulate in the same order.
-		npd := makeLeaf(out.room, p2, old.ids, out.totalB)
-		rebuild := powerDrift
-		if !rebuild {
-			for _, id := range old.ids {
-				if driftedMask[id] {
-					rebuild = true
-					break
-				}
-			}
-		}
-		if rebuild {
-			touched = append(touched, j)
-		} else {
-			// The kinetic tables depend only on the pod's pairs, all
-			// unchanged here — share the tables, re-head the reduced
-			// scalars (the share did change).
-			pre := *old.pre
-			pre.reduced = npd.reduced
-			npd.pre = &pre
-		}
-		out.pods = append(out.pods, npd)
-	}
-	out.root = buildUnitTree(out.pods, 0, len(out.pods), out.depth)
-	if err := out.buildPodsFor(touched, cfg.workers, cfg.buildCheck); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return assemblePods(ps.epoch+1, p2, parts, ps.depth), nil
 }
 
 // PodIndex returns the index of the pod containing machine id. Pods

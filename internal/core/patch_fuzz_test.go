@@ -36,7 +36,7 @@ func FuzzSnapshotPatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	podded, err := NewPodSnapshot(base, 0, WithPodCount(pods), WithPodBuildWorkers(1))
+	podded, err := NewPodSnapshot(base, 0, WithPodCount(pods))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func FuzzSnapshotPatch(f *testing.F) {
 		}
 
 		gotFlat, errFlat := flat.Patch(batch, WithPreprocessWorkers(1))
-		gotPods, errPods := podded.Patch(batch, WithPodBuildWorkers(1))
+		gotPods, errPods := podded.Patch(batch)
 		if (errFlat == nil) != (errPods == nil) {
 			t.Fatalf("paths disagree on acceptance: flat %v, pods %v", errFlat, errPods)
 		}
@@ -89,12 +89,12 @@ func FuzzSnapshotPatch(f *testing.F) {
 
 		patched := applyBatch(base, batch)
 		checkFlatAgainstRebuild(t, "fuzz flat", gotFlat, patched, 1)
-		wantPods, err := NewPodSnapshot(patched, 1, WithPodCount(pods), WithPodBuildWorkers(1))
+		wantPods, err := NewPodSnapshot(patched, 1, WithPodCount(pods))
 		if err != nil {
 			t.Fatalf("pod rebuild: %v", err)
 		}
 		for j := range gotPods.pods {
-			equalTables(t, "fuzz pod", gotPods.pods[j].pre, wantPods.pods[j].pre)
+			equalPairs(t, "fuzz pod", gotPods.pods[j].reduced.Pairs, wantPods.pods[j].reduced.Pairs)
 		}
 
 		// Drift on an avoided machine: degraded planning over the patched

@@ -132,25 +132,25 @@ func TestPatchSpliceMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestPatchPowerDriftPods: pod tables under power drift rebuild every
-// pod (no pod is spared — every particle moved) and match a from-scratch
-// build bit for bit, at depth 2 and at depth 3.
+// TestPatchPowerDriftPods: pod leaves under power drift (every particle
+// moved) match a from-scratch build bit for bit, at depth 2 and at
+// depth 3.
 func TestPatchPowerDriftPods(t *testing.T) {
 	const n, pods = 128, 8
 	for _, depth := range []int{2, 3} {
 		rng := mathx.NewRand(9)
 		profile := hierProfile(n)
-		cur, err := NewPodSnapshot(profile, 0, WithPodCount(pods), WithPodDepth(depth), WithPodBuildWorkers(1))
+		cur, err := NewPodSnapshot(profile, 0, WithPodCount(pods), WithPodDepth(depth))
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch := powerBatch(profile, driftBatch(rng, profile, 4), profile.W1*1.06, profile.W2*0.95)
 		profile = applyPowerBatch(profile, batch)
-		next, err := cur.Patch(batch, WithPodBuildWorkers(1))
+		next, err := cur.Patch(batch)
 		if err != nil {
 			t.Fatalf("depth %d: patch: %v", depth, err)
 		}
-		want, err := NewPodSnapshot(profile, 1, WithPodCount(pods), WithPodDepth(depth), WithPodBuildWorkers(1))
+		want, err := NewPodSnapshot(profile, 1, WithPodCount(pods), WithPodDepth(depth))
 		if err != nil {
 			t.Fatalf("depth %d: rebuild: %v", depth, err)
 		}
@@ -158,7 +158,7 @@ func TestPatchPowerDriftPods(t *testing.T) {
 			t.Fatalf("depth %d: patched tree depth %d vs rebuilt %d", depth, next.Depth(), want.Depth())
 		}
 		for j := range next.pods {
-			equalTables(t, "pod power drift", next.pods[j].pre, want.pods[j].pre)
+			equalPairs(t, "pod power drift", next.pods[j].reduced.Pairs, want.pods[j].reduced.Pairs)
 		}
 		for _, frac := range []float64{0.1, 0.45, 0.8} {
 			load := frac * float64(n)

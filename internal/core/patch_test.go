@@ -99,7 +99,12 @@ func equalTables(t *testing.T, label string, got, want *Preprocessed) {
 	equalInt32s(t, label+" segEvent", got.segEvent, want.segEvent)
 	bitsEqualFloats(t, label+" segA", got.segA, want.segA)
 	bitsEqualFloats(t, label+" segB", got.segB, want.segB)
-	gp, wp := got.reduced.Pairs, want.reduced.Pairs
+	equalPairs(t, label, got.reduced.Pairs, want.reduced.Pairs)
+}
+
+// equalPairs asserts two pair slices are bit-identical.
+func equalPairs(t *testing.T, label string, gp, wp []Pair) {
+	t.Helper()
 	if len(gp) != len(wp) {
 		t.Fatalf("%s pairs: length %d vs %d", label, len(gp), len(wp))
 	}
@@ -187,7 +192,7 @@ func TestPatchMatchesRebuildFlat(t *testing.T) {
 
 // TestPatchMatchesRebuildPods is the pod-level differential battery:
 // chained drift epochs against from-scratch NewPodSnapshot rebuilds,
-// comparing every pod's tables, aggregates, and the hierarchical plans.
+// comparing every pod's pairs, aggregates, and the hierarchical plans.
 func TestPatchMatchesRebuildPods(t *testing.T) {
 	const n, pods = 128, 8
 	epochs := 50
@@ -198,18 +203,18 @@ func TestPatchMatchesRebuildPods(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rng := mathx.NewRand(seed)
 		profile := hierProfile(n)
-		cur, err := NewPodSnapshot(profile, 0, WithPodCount(pods), WithPodBuildWorkers(1))
+		cur, err := NewPodSnapshot(profile, 0, WithPodCount(pods))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for e := 0; e < epochs; e++ {
 			batch := driftBatch(rng, profile, ks[e%len(ks)])
 			profile = applyBatch(profile, batch)
-			next, err := cur.Patch(batch, WithPodBuildWorkers(1))
+			next, err := cur.Patch(batch)
 			if err != nil {
 				t.Fatalf("seed %d epoch %d: patch: %v", seed, e, err)
 			}
-			want, err := NewPodSnapshot(profile, uint64(e+1), WithPodCount(pods), WithPodBuildWorkers(1))
+			want, err := NewPodSnapshot(profile, uint64(e+1), WithPodCount(pods))
 			if err != nil {
 				t.Fatalf("seed %d epoch %d: rebuild: %v", seed, e, err)
 			}
@@ -231,13 +236,10 @@ func TestPatchMatchesRebuildPods(t *testing.T) {
 					t.Fatalf("pod %d aggregates (%v,%v,%v) vs (%v,%v,%v)",
 						j, g.sumA, g.sumB, g.share, w.sumA, w.sumB, w.share)
 				}
-				equalTables(t, "pod tables", g.pre, w.pre)
+				equalPairs(t, "pod pairs", g.reduced.Pairs, w.reduced.Pairs)
 				if math.Float64bits(g.reduced.Rho) != math.Float64bits(w.reduced.Rho) ||
 					math.Float64bits(g.reduced.CoolFactor) != math.Float64bits(w.reduced.CoolFactor) {
 					t.Fatalf("pod %d reduced scalars differ", j)
-				}
-				if math.Float64bits(g.pre.reduced.Rho) != math.Float64bits(w.pre.reduced.Rho) {
-					t.Fatalf("pod %d shared table head kept a stale Rho", j)
 				}
 			}
 			for _, frac := range []float64{0.1, 0.45, 0.8} {
@@ -297,7 +299,7 @@ func TestPatchMatchesRebuildLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := range gotPods.pods {
-		equalTables(t, "pod n=4096", gotPods.pods[j].pre, wantPods.pods[j].pre)
+		equalPairs(t, "pod n=4096", gotPods.pods[j].reduced.Pairs, wantPods.pods[j].reduced.Pairs)
 	}
 	for _, frac := range []float64{0.1, 0.45, 0.8} {
 		load := frac * float64(n)
@@ -310,43 +312,6 @@ func TestPatchMatchesRebuildLarge(t *testing.T) {
 			continue
 		}
 		equalPlans(t, "pod plan n=4096", gp, wp)
-	}
-}
-
-// TestPatchSharesUntouchedPodArenas pins the perf contract structurally:
-// a pod without drifted machines must share its table arenas with the
-// receiver by reference, not rebuild them.
-func TestPatchSharesUntouchedPodArenas(t *testing.T) {
-	const n, pods = 128, 8
-	profile := hierProfile(n)
-	cur, err := NewPodSnapshot(profile, 0, WithPodCount(pods), WithPodBuildWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := profile.Machines[3]
-	m.Gamma += 0.25
-	next, err := cur.Patch([]MachineDelta{{ID: 3, Machine: m}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pj, err := next.PodIndex(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range next.pods {
-		shared := &next.pods[j].pre.segA[0] == &cur.pods[j].pre.segA[0]
-		if j == pj {
-			if shared {
-				t.Fatalf("drifted pod %d shares its segment arena with the receiver", j)
-			}
-			continue
-		}
-		if !shared {
-			t.Fatalf("untouched pod %d rebuilt its segment arena", j)
-		}
-		if next.pods[j].pre == cur.pods[j].pre {
-			t.Fatalf("untouched pod %d shares the table head (stale reduced scalars)", j)
-		}
 	}
 }
 
@@ -396,7 +361,7 @@ func TestPatchRejectsBadDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := NewPodSnapshot(profile, 0, WithPodCount(4), WithPodBuildWorkers(1))
+	ps, err := NewPodSnapshot(profile, 0, WithPodCount(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +386,7 @@ func TestPatchRejectsBadDeltas(t *testing.T) {
 
 // TestPodIndex pins the partition lookup used to route drift to pods.
 func TestPodIndex(t *testing.T) {
-	ps, err := NewPodSnapshot(hierProfile(100), 0, WithPodCount(7), WithPodBuildWorkers(1))
+	ps, err := NewPodSnapshot(hierProfile(100), 0, WithPodCount(7))
 	if err != nil {
 		t.Fatal(err)
 	}

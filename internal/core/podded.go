@@ -1,21 +1,16 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"sync"
-)
+import "math"
 
 // This file implements the pod-sharded form of the paper's consolidation
 // machinery for rooms beyond the O(n²) whole-room tables. The planning
 // bodies themselves live in unit.go — PodSnapshot is one topology of the
-// recursive plannable-unit tree; this file owns construction, the
-// parallel table build, and the room-level union refinement helpers.
+// recursive plannable-unit tree; this file owns construction and the
+// room-level union refinement helpers.
 //
-// The room is partitioned into contiguous pods (the tree's leaves). Each
-// pod builds its own kinetic tables over its n_j machines —
-// p·(n/p)² events instead of n², so the build parallelizes across pods
-// and the event set shrinks by ~p. Queries compose hierarchically:
+// The room is partitioned into contiguous pods (the tree's leaves). A pod
+// holds its machines' pairs and Eq. 21–22 aggregates and no kinetic
+// tables, so a build is O(n). Queries compose hierarchically:
 //
 //  1. The recursive water-filling allocator (planTree.selectFor) splits
 //     the room load L down the tree using the pod aggregates
@@ -28,8 +23,11 @@ import (
 //     deeper tree presents the same clamped curve summed over its
 //     subtree, so the identical bisection runs at every level.
 //
-//  2. Each pod solves its own select(A_j, k_j, L_j) over its local
-//     tables. The pod scores candidates with share-scaled cooling
+//  2. Each pod solves its own select(A_j, k_j, L_j) with leafSelect
+//     (select.go): for each subset size k, Eq. 26's best time
+//     t_k = max over |S| = k of (Σ_S a − L_j)/(Σ_S b) by Dinkelbach's
+//     iteration, about one O(n_j) selection per k and one k per query.
+//     The pod scores candidates with share-scaled cooling
 //     leverage: linearizing the room t_S = (Σ a − L)/(Σ b) around pod j's
 //     contribution gives ∂t/∂(pod j) ≈ share_j/B_j with
 //     share_j = B_j/B_total, so the pod sees Rho_j = share_j·ρ and
@@ -44,24 +42,17 @@ import (
 //     a pod may keep a machine that a colder machine in another pod
 //     should have displaced — and is bounded and measured rather than
 //     compounded (DESIGN.md §7, §11).
-//
-// Pods are built in parallel but each pod's own Preprocess runs
-// single-threaded, so the resulting tables are byte-identical regardless
-// of the outer worker count — the property tests enforce this.
 
 // DefaultPodSize is the default machines-per-pod target when no
-// calibration point overrides it. 256 keeps each pod's O(n_j²) tables in
-// cache while yielding p = 16 pods at the whole-room cap of 4096
-// machines.
+// calibration point overrides it: p = 16 pods at the whole-room cap of
+// 4096 machines.
 const DefaultPodSize = 256
 
 // podConfig collects NewPodSnapshot's tunables.
 type podConfig struct {
-	podSize    int             // target machines per pod; 0 = calibration/DefaultPodSize
-	podCount   int             // explicit pod count; 0 = derive from podSize
-	depth      int             // tree depth; 0 = calibration (2 for modest rooms)
-	workers    int             // outer build workers; 0 = runtime default
-	buildCheck func(int) error // per-pod build guard; nil = none
+	podSize  int // target machines per pod; 0 = calibration/DefaultPodSize
+	podCount int // explicit pod count; 0 = derive from podSize
+	depth    int // tree depth; 0 = calibration (2 for modest rooms)
 }
 
 // PodOption configures NewPodSnapshot.
@@ -89,25 +80,10 @@ func WithPodDepth(d int) PodOption {
 	return func(cfg *podConfig) { cfg.depth = d }
 }
 
-// WithPodBuildWorkers bounds the outer worker pool that builds pod tables
-// in parallel. Values ≤ 0 use runtime.GOMAXPROCS(0). The tables are
-// byte-identical across worker counts: each pod's inner sweep is
-// single-threaded, only the scheduling of whole pods varies.
-func WithPodBuildWorkers(w int) PodOption {
-	return func(cfg *podConfig) { cfg.workers = w }
-}
-
-// WithPodBuildCheck installs a guard invoked (from the build workers,
-// keyed by pod index — keep it concurrency-safe) before each pod's
-// kinetic sweep; a non-nil error fails the whole build. Fault injection
-// uses it to rehearse pod-table build failures deterministically; the
-// serving layer must keep answering off the previously installed state.
-func WithPodBuildCheck(check func(pod int) error) PodOption {
-	return func(cfg *podConfig) { cfg.buildCheck = check }
-}
-
 // pod is one leaf of the planner tree: a contiguous ID range with its
-// own kinetic tables and share-scaled scoring bounds.
+// pairs, aggregates and share-scaled scoring bounds. Only the flat
+// Snapshot's single leaf carries kinetic tables (pre); a pod leaf's is
+// nil.
 type pod struct {
 	ids     []int // global machine IDs, ascending
 	reduced Reduced
@@ -119,11 +95,10 @@ type pod struct {
 }
 
 // PodSnapshot is the hierarchical analogue of Snapshot: an immutable,
-// concurrently-queryable view of a machine room whose consolidation
-// tables are sharded into pod leaves under a recursive planner tree
-// (unit.go). It trades a bounded optimality gap for a near-linear build
-// and a per-query cost of p·O((n/p)·lg(n/p)) instead of O(n·lg n)
-// over a p×-larger event set — which is what lifts the whole-room
+// concurrently-queryable view of a machine room sharded into table-free
+// pod leaves under a recursive planner tree (unit.go). It trades a
+// bounded optimality gap for an O(n) build and O(n) state and an O(n)
+// expected per-query cost — which is what lifts the whole-room
 // DefaultMaxMachines cap. Depth 2 is the classic pod split; depth 3
 // groups the pods into pods of pods for fleet-scale rooms.
 type PodSnapshot struct {
@@ -132,9 +107,8 @@ type PodSnapshot struct {
 }
 
 // NewPodSnapshot validates and deep-copies the profile, partitions it
-// into pod leaves, builds every leaf's kinetic tables in parallel, and
-// assembles the recursive planner tree over them. epoch tags the
-// snapshot's generation exactly like NewSnapshot.
+// into pod leaves, and assembles the recursive planner tree over them.
+// epoch tags the snapshot's generation exactly like NewSnapshot.
 func NewPodSnapshot(p *Profile, epoch uint64, opts ...PodOption) (*PodSnapshot, error) {
 	cfg := podConfig{}
 	for _, opt := range opts {
@@ -172,95 +146,42 @@ func NewPodSnapshot(p *Profile, epoch uint64, opts ...PodOption) (*PodSnapshot, 
 		count = n
 	}
 
-	ps := &PodSnapshot{epoch: epoch, planTree: planTree{profile: &frozen, depth: depth}}
-	ps.room = frozen.Reduce()
-	for _, pr := range ps.room.Pairs {
-		ps.totalB += pr.B
-	}
-
 	// Balanced contiguous partition: the first n mod count pods carry one
 	// extra machine.
+	parts := make([][]int, count)
 	base, extra := n/count, n%count
 	start := 0
-	for j := 0; j < count; j++ {
+	for j := range parts {
 		size := base
 		if j < extra {
 			size++
 		}
-		ids := make([]int, size)
-		for i := range ids {
-			ids[i] = start + i
+		parts[j] = make([]int, size)
+		for i := range parts[j] {
+			parts[j][i] = start + i
 		}
 		start += size
-		ps.pods = append(ps.pods, makeLeaf(ps.room, &frozen, ids, ps.totalB))
 	}
-	ps.root = buildUnitTree(ps.pods, 0, count, depth)
-
-	if err := ps.buildPods(cfg.workers, cfg.buildCheck); err != nil {
-		return nil, err
-	}
-	return ps, nil
+	return assemblePods(epoch, &frozen, parts, depth), nil
 }
 
-// buildPods runs Preprocess for every pod on an outer worker pool. Each
-// pod's inner sweep is pinned to one worker so the tables are
-// byte-identical across outer worker counts.
-func (ps *PodSnapshot) buildPods(workers int, check func(int) error) error {
-	all := make([]int, len(ps.pods))
-	for j := range all {
-		all[j] = j
+// assemblePods freezes a pod snapshot of the validated profile p over the
+// given partition (ascending contiguous ID ranges): the room's reduced
+// instance, one leaf per part, and the depth-shaped tree over them.
+// NewPodSnapshot and Patch both build through it, so a patch is a cold
+// build over the receiver's partition, bit for bit.
+func assemblePods(epoch uint64, p *Profile, parts [][]int, depth int) *PodSnapshot {
+	ps := &PodSnapshot{epoch: epoch, planTree: planTree{profile: p, depth: depth}}
+	ps.room = p.Reduce()
+	for _, pr := range ps.room.Pairs {
+		ps.totalB += pr.B
 	}
-	return ps.buildPodsFor(all, workers, check)
-}
-
-// buildPodsFor runs Preprocess for the listed pods only, on the same
-// outer worker pool as buildPods. Patch uses it to rebuild just the pods
-// containing drifted machines while the rest share their tables.
-func (ps *PodSnapshot) buildPodsFor(podIdx []int, workers int, check func(int) error) error {
-	if len(podIdx) == 0 {
-		return nil
+	ps.pods = make([]*pod, len(parts))
+	for j, ids := range parts {
+		ps.pods[j] = makeLeaf(ps.room, p, ids, ps.totalB)
 	}
-	workers = sweepWorkers(workers)
-	if workers > len(podIdx) {
-		workers = len(podIdx)
-	}
-	jobs := make(chan int)
-	errs := make([]error, len(podIdx))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				j := podIdx[i]
-				pd := ps.pods[j]
-				if check != nil {
-					if err := check(j); err != nil {
-						errs[i] = fmt.Errorf("core: pod %d: %w", j, err)
-						continue
-					}
-				}
-				pre, err := Preprocess(pd.reduced,
-					WithMaxMachines(len(pd.ids)), WithPreprocessWorkers(1))
-				if err != nil {
-					errs[i] = fmt.Errorf("core: pod %d: %w", j, err)
-					continue
-				}
-				pd.pre = pre
-			}
-		}()
-	}
-	for i := range podIdx {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	ps.root = buildUnitTree(ps.pods, 0, len(parts), depth)
+	return ps
 }
 
 // Epoch returns the snapshot's generation tag.
@@ -284,24 +205,13 @@ func (ps *PodSnapshot) Root() *Unit { return ps.root }
 // Snapshot.Profile.
 func (ps *PodSnapshot) Profile() *Profile { return ps.profile }
 
-// Events returns the total number of event times across all pods — the
-// quantity the sharding shrinks from O(n²) to Σ O(n_j²).
-func (ps *PodSnapshot) Events() int {
-	total := 0
-	for _, pd := range ps.pods {
-		total += pd.pre.Events()
-	}
-	return total
-}
+// Events returns 0: pod leaves hold no kinetic tables, so there are no
+// event times. Kept so pod and whole-room snapshots report alike.
+func (ps *PodSnapshot) Events() int { return 0 }
 
-// TableBytes returns the resident size of all pod tables in bytes.
-func (ps *PodSnapshot) TableBytes() int {
-	total := 0
-	for _, pd := range ps.pods {
-		total += pd.pre.TableBytes()
-	}
-	return total
-}
+// TableBytes returns 0: pod leaves hold no kinetic tables. Kept so pod
+// and whole-room snapshots report alike.
+func (ps *PodSnapshot) TableBytes() int { return 0 }
 
 // Select returns the hierarchical on-set for the given room load: the
 // recursive allocator splits the load down the planner tree, each pod

@@ -14,16 +14,14 @@ import (
 // survivor-restricted primitives it composes.
 //
 // The structure mirrors Plan. Pods untouched by the avoid set reuse
-// their kinetic tables and Eq. 21–22 aggregates verbatim; an affected
-// pod recomputes survivor-restricted aggregates (A′_j, B′_j, cap′_j) and
-// replaces its table lookup with a survivor prefix sweep — survivors
-// ordered front-most at the pod's own particle time, every prefix scored
-// with the same clamped Eq. 23 objective clampedSelect uses. The
-// water-filling split (recursing through interior nodes, whose survivor
-// curves are just the clamped sums of their subtrees'), the union
-// SolveBounded, and the bounded exchange then run over the mixed set
-// exactly as in the healthy path, with the avoid set masked out of every
-// move. With one pod the whole query delegates to the flat
+// their Eq. 21–22 aggregates verbatim; an affected pod recomputes
+// survivor-restricted aggregates (A′_j, B′_j, cap′_j) and runs the one
+// leaf solver, leafSelect, over its survivors instead of all its
+// machines. The water-filling split (recursing through interior nodes,
+// whose survivor curves are just the clamped sums of their subtrees'),
+// the union SolveBounded, and the bounded exchange then run over the
+// mixed set exactly as in the healthy path, with the avoid set masked
+// out of every move. With one pod the whole query delegates to the flat
 // Profile.PlanOver over the survivors, so the single-leaf degraded plan
 // is bit-identical to the exact degraded plan.
 
@@ -128,60 +126,6 @@ func waterFill(aggs []podAgg, load float64) []float64 {
 		out[j] = at(j, sLo)
 	}
 	return out
-}
-
-// survivorSelect picks one affected pod's on-set over its surviving
-// machines: survivors ordered front-most at the pod's own particle time
-// for its allocated load, then every prefix size k ≥ ⌈load⌉ scored with
-// the clamped Eq. 23 objective and cooling-floor stop clampedSelect
-// applies to the kinetic tables, restricted to the survivor prefix
-// order. pairs and surv are pod-local, as are the returned indices.
-func survivorSelect(pairs []Pair, surv []int, load float64, b clampBounds) ([]int, bool) {
-	m := len(surv)
-	minK := int(math.Ceil(load - 1e-9))
-	if minK < 1 {
-		minK = 1
-	}
-	if minK > m {
-		return nil, false
-	}
-	var allA, allB float64
-	for _, i := range surv {
-		allA += pairs[i].A
-		allB += pairs[i].B
-	}
-	t0 := (allA - load) / allB
-	if t0 < 0 {
-		t0 = 0
-	}
-	order := append([]int(nil), surv...)
-	sortFront(pairs, order, t0)
-	var prefA, prefB float64
-	bestK := 0
-	bestPower := math.Inf(1)
-	for k := 1; k <= m; k++ {
-		prefA += pairs[order[k-1]].A
-		prefB += pairs[order[k-1]].B
-		if k < minK {
-			continue
-		}
-		if b.floor(k, load) >= bestPower-1e-9 {
-			break // no larger prefix can win (clampBounds.floor)
-		}
-		t := (prefA - load) / prefB
-		if t < 0 {
-			continue
-		}
-		if power, ok := b.power(k, t, load); ok && power < bestPower-1e-9 {
-			bestPower, bestK = power, k
-		}
-	}
-	if bestK == 0 {
-		return nil, false
-	}
-	out := append([]int(nil), order[:bestK]...)
-	sort.Ints(out)
-	return out, true
 }
 
 func countBlocked(blocked []bool) int {

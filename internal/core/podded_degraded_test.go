@@ -392,27 +392,3 @@ func TestHierarchicalConsolidateGapBound(t *testing.T) {
 		t.Fatalf("mean consolidate gap %.4f%% exceeds 1%%", 100*mean)
 	}
 }
-
-// TestPodBuildCheck exercises the injectable build guard: a failing
-// check fails the whole build with the pod named, a passing check is
-// invisible.
-func TestPodBuildCheck(t *testing.T) {
-	p := hierProfile(64)
-	boom := errors.New("injected build failure")
-	_, err := NewPodSnapshot(p, 0, WithPodSize(16), WithPodBuildCheck(func(pod int) error {
-		if pod == 2 {
-			return boom
-		}
-		return nil
-	}))
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want injected failure", err)
-	}
-	ok, err := NewPodSnapshot(p, 0, WithPodSize(16), WithPodBuildCheck(func(int) error { return nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok.Pods() != 4 {
-		t.Fatalf("pods = %d, want 4", ok.Pods())
-	}
-}

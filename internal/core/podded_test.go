@@ -46,7 +46,7 @@ func TestPodSnapshotSinglePodMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := NewPodSnapshot(p, 0, WithPodCount(1), WithPodBuildWorkers(1))
+	hier, err := NewPodSnapshot(p, 0, WithPodCount(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,45 +133,6 @@ func TestHierarchicalGapBound(t *testing.T) {
 		}
 		if mean > 0.01 {
 			t.Fatalf("n=%d: mean gap %.4f%% exceeds 1%%", n, 100*mean)
-		}
-	}
-}
-
-// TestPodBuildWorkerInvariance is the determinism property: pod tables
-// must be byte-identical regardless of how many outer workers built them,
-// because each pod's inner sweep is single-threaded.
-func TestPodBuildWorkerInvariance(t *testing.T) {
-	const n = 256
-	p := hierProfile(n)
-	base, err := NewPodSnapshot(p, 0, WithPodSize(32), WithPodBuildWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		other, err := NewPodSnapshot(p, 0, WithPodSize(32), WithPodBuildWorkers(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if base.Pods() != other.Pods() {
-			t.Fatalf("workers=%d: %d pods vs %d", workers, other.Pods(), base.Pods())
-		}
-		for j := range base.pods {
-			a, b := base.pods[j].pre, other.pods[j].pre
-			if len(a.events) != len(b.events) || len(a.segA) != len(b.segA) {
-				t.Fatalf("workers=%d pod %d: table shapes differ", workers, j)
-			}
-			for i := range a.events {
-				if math.Float64bits(a.events[i]) != math.Float64bits(b.events[i]) {
-					t.Fatalf("workers=%d pod %d: event %d differs", workers, j, i)
-				}
-			}
-			for i := range a.segA {
-				if math.Float64bits(a.segA[i]) != math.Float64bits(b.segA[i]) ||
-					math.Float64bits(a.segB[i]) != math.Float64bits(b.segB[i]) ||
-					a.segEvent[i] != b.segEvent[i] {
-					t.Fatalf("workers=%d pod %d: segment %d differs", workers, j, i)
-				}
-			}
 		}
 	}
 }
@@ -281,8 +242,8 @@ func TestPodSnapshotValidation(t *testing.T) {
 	if _, err := hier.Plan(9); err == nil {
 		t.Fatal("over-capacity load accepted")
 	}
-	if hier.Events() <= 0 || hier.TableBytes() <= 0 {
-		t.Fatal("introspection accessors empty")
+	if hier.Events() != 0 || hier.TableBytes() != 0 {
+		t.Fatalf("table-free pods report %d events, %d table bytes", hier.Events(), hier.TableBytes())
 	}
 	if _, err := NewPodSnapshot(&Profile{}, 0); err == nil {
 		t.Fatal("invalid profile accepted")
@@ -290,8 +251,8 @@ func TestPodSnapshotValidation(t *testing.T) {
 }
 
 // BenchmarkPodBuild times NewPodSnapshot on a 65 536-machine hierProfile
-// room in 128 pods of 512 — cold-large's room — where the 128 leaf table
-// builds are the whole cost.
+// room in 128 pods of 512 — cold-large's room: the profile copy, the
+// room reduction and the leaves' pairs and aggregates.
 func BenchmarkPodBuild(b *testing.B) {
 	p := hierProfile(65536)
 	b.ReportAllocs()
@@ -307,7 +268,6 @@ func BenchmarkPodBuild(b *testing.B) {
 // 65 536-machine hierProfile room in 128 pods of 512 — the room size of
 // perfbench's cold-large workload — cycling 97 loads over 5–95 % of
 // capacity. A snapshot holds no plan cache, so every call is cold.
-// Builds the pod tables first (~10 s, ~0.8 GB).
 func BenchmarkColdPodPlan(b *testing.B) {
 	const n = 65536
 	ps, err := NewPodSnapshot(hierProfile(n), 0, WithPodSize(512))
@@ -321,6 +281,29 @@ func BenchmarkColdPodPlan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ps.Plan(loads[i%len(loads)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPodMaxLoad times PodSnapshot.MaxLoad on the same room as
+// BenchmarkColdPodPlan, cycling 16 budgets over 5–95 % of the all-on
+// power at the set point: 128 budget leaves, then the room's exact
+// boundary over their union.
+func BenchmarkPodMaxLoad(b *testing.B) {
+	const n = 65536
+	p := hierProfile(n)
+	ps, err := NewPodSnapshot(p, 0, WithPodSize(512))
+	if err != nil {
+		b.Fatal(err)
+	}
+	budgets := make([]float64, 16)
+	for i := range budgets {
+		budgets[i] = (0.05 + 0.9*float64(i)/15) * (n*(p.W1+p.W2) + p.CoolFactor*p.SetPointC)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ps.MaxLoad(budgets[i%len(budgets)]); err != nil {
 			b.Fatal(err)
 		}
 	}

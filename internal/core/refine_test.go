@@ -115,11 +115,11 @@ func (pt *planTree) refineUnionScan(union []int, load float64, blocked []bool) [
 // gathers it.
 func rawUnion(t testing.TB, pt *planTree, load float64) []int {
 	t.Helper()
-	var union []int
-	if err := pt.selectFor(pt.root, load, pt.healthyAggs(), nil, &union); err != nil {
+	var w leafWalk
+	if err := pt.selectFor(pt.root, load, pt.healthyAggs(), nil, &w); err != nil {
 		t.Fatalf("select load %v: %v", load, err)
 	}
-	return union
+	return w.union
 }
 
 // checkRefineMatchesScan refines union both ways and fails on any
@@ -163,7 +163,7 @@ func TestRefineUnionMatchesScan(t *testing.T) {
 	const n = 512
 	p := hierProfile(n)
 	for _, depth := range []int{2, 3, 4} {
-		ps, err := NewPodSnapshot(p, 0, WithPodSize(16), WithPodDepth(depth), WithPodBuildWorkers(1))
+		ps, err := NewPodSnapshot(p, 0, WithPodSize(16), WithPodDepth(depth))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"testing"
 
 	"coolopt/internal/mathx"
@@ -43,69 +42,6 @@ func clampedSelectSweep(pre *Preprocessed, load float64, b clampBounds) (bestK, 
 		}
 	}
 	return bestK, bestE, bestPower
-}
-
-// survivorSelectSweep is survivorSelect as it scored before the shared
-// scorer and the cooling-floor stop: a comparison sort under
-// particleLess, then every prefix scored by its own copy of the clamped
-// Eq. 23 objective. The oracle for survivorSelect's set.
-func survivorSelectSweep(pairs []Pair, surv []int, load float64, b clampBounds) ([]int, bool) {
-	m := len(surv)
-	minK := int(math.Ceil(load - 1e-9))
-	if minK < 1 {
-		minK = 1
-	}
-	if minK > m {
-		return nil, false
-	}
-	var allA, allB float64
-	for _, i := range surv {
-		allA += pairs[i].A
-		allB += pairs[i].B
-	}
-	t0 := (allA - load) / allB
-	if t0 < 0 {
-		t0 = 0
-	}
-	order := append([]int(nil), surv...)
-	sort.Slice(order, func(x, y int) bool {
-		return particleLess(pairs, order[x], order[y], t0)
-	})
-	var prefA, prefB float64
-	bestK := 0
-	bestPower := math.Inf(1)
-	for k := 1; k <= m; k++ {
-		prefA += pairs[order[k-1]].A
-		prefB += pairs[order[k-1]].B
-		if k < minK {
-			continue
-		}
-		t := (prefA - load) / prefB
-		if t < 0 {
-			continue
-		}
-		tAc := b.W1 * t
-		if tAc > b.TAcMaxC {
-			tAc = b.TAcMaxC
-		}
-		if tAc < b.TAcMinC {
-			continue
-		}
-		cooling := b.CoolFactor * (b.SetPointC - tAc)
-		if cooling < 0 {
-			cooling = 0
-		}
-		power := cooling + b.W1*load + float64(k)*b.W2
-		if power < bestPower-1e-9 {
-			bestPower, bestK = power, k
-		}
-	}
-	if bestK == 0 {
-		return nil, false
-	}
-	out := append([]int(nil), order[:bestK]...)
-	sort.Ints(out)
-	return out, true
 }
 
 // sweepLoads returns the demands probed on a leaf of n machines: every
@@ -157,7 +93,7 @@ func checkClampedSelect(t testing.TB, label string, pre *Preprocessed, b clampBo
 }
 
 // TestClampedSelectMatchesFullSweep is the early stop's bit-identity
-// property: on pod leaves of hierProfile rooms at p ∈ {1, 4, 32, 128}
+// property: on the tables of pod leaves of hierProfile rooms at p ∈ {1, 4, 32, 128}
 // with their own share-scaled bounds, with the set point under the
 // actuator maximum (a cooling floor of 0) and with W2 = 0, on the smooth
 // scaling instance, and on 200 grid rooms nudged by single ulps (where
@@ -174,11 +110,12 @@ func TestClampedSelectMatchesFullSweep(t *testing.T) {
 	var total clampStats
 	p := hierProfile(n)
 	for _, pods := range []int{1, 4, 32, 128} {
-		ps, err := NewPodSnapshot(p, 0, WithPodCount(pods), WithPodBuildWorkers(1))
+		ps, err := NewPodSnapshot(p, 0, WithPodCount(pods))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, pd := range ps.pods {
+			pre := mustPreprocess(t, pd.reduced)
 			if !(pd.bounds.CoolFactor > 0) {
 				t.Fatalf("p=%d leaf %d: CoolFactor = %v, want > 0", pods, j, pd.bounds.CoolFactor)
 			}
@@ -190,7 +127,7 @@ func TestClampedSelectMatchesFullSweep(t *testing.T) {
 				name string
 				b    clampBounds
 			}{{"pod", pd.bounds}, {"setpoint<tacmax", lowSP}, {"w2=0", freeK}} {
-				total.add(checkClampedSelect(t, fmt.Sprintf("p=%d leaf %d %s", pods, j, v.name), pd.pre, v.b, loads))
+				total.add(checkClampedSelect(t, fmt.Sprintf("p=%d leaf %d %s", pods, j, v.name), pre, v.b, loads))
 			}
 		}
 	}
@@ -225,46 +162,6 @@ func TestClampedSelectMatchesFullSweep(t *testing.T) {
 func gridBounds(rng *mathx.Rand, r Reduced) clampBounds {
 	lo := float64(rng.Intn(8)) / 4
 	return clampBounds{W1: r.W1, W2: r.W2, CoolFactor: r.CoolFactor, SetPointC: r.SetPointC, TAcMinC: lo, TAcMaxC: lo + float64(1+rng.Intn(32))/4}
-}
-
-// TestSurvivorSelectMatchesFullSweep holds the degraded leaf sweep —
-// particles sorted precomputed, the shared scorer, the cooling-floor
-// stop — to its full-sweep comparison-sort oracle on the leaves of an
-// 8-pod room, with random survivor sets and loads, under the pod's own
-// bounds and the room's.
-func TestSurvivorSelectMatchesFullSweep(t *testing.T) {
-	rng := mathx.NewRand(6)
-	ps, err := NewPodSnapshot(hierProfile(512), 0, WithPodCount(8), WithPodBuildWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial := 0
-	for j, pd := range ps.pods {
-		m := len(pd.ids)
-		for trial := 0; trial < 8; trial++ {
-			var surv []int
-			for i := 0; i < m; i++ {
-				if rng.Intn(8) != 0 {
-					surv = append(surv, i)
-				}
-			}
-			for _, b := range []clampBounds{pd.bounds, ps.profile.bounds(1)} {
-				for _, load := range sweepLoads(rng, len(surv), 4) {
-					got, ok := survivorSelect(pd.reduced.Pairs, surv, load, b)
-					want, wok := survivorSelectSweep(pd.reduced.Pairs, surv, load, b)
-					if ok != wok || !slices.Equal(got, want) {
-						t.Fatalf("leaf %d trial %d load %v: survivorSelect = (%v, %v), full sweep (%v, %v)", j, trial, load, got, ok, want, wok)
-					}
-					if ok && len(got) < len(surv) {
-						partial++
-					}
-				}
-			}
-		}
-	}
-	if partial == 0 {
-		t.Fatal("no survivor sweep picked fewer than all survivors")
-	}
 }
 
 // FuzzClampedSelect holds the early stop to the full sweep on random

@@ -40,18 +40,13 @@ func newFlatSnapshot(epoch uint64, p *Profile, pre *Preprocessed) *Snapshot {
 	for _, pr := range room.Pairs {
 		totalB += pr.B
 	}
-	ids := make([]int, p.Size())
-	for i := range ids {
-		ids[i] = i
-	}
-	leaf := makeLeaf(room, p, ids, totalB)
+	leaf := makeLeaf(room, p, allIDs(p.Size()), totalB)
 	leaf.pre = pre
 	tree := planTree{
 		profile: p,
 		room:    room,
 		pods:    []*pod{leaf},
 		totalB:  totalB,
-		flat:    true,
 		depth:   1,
 	}
 	tree.root = buildUnitTree(tree.pods, 0, 1, 1)

@@ -197,11 +197,7 @@ func (p *Profile) solveBounded(on []int, totalLoad float64) (*Plan, bool, error)
 // powered on (scenarios #4–#6 in the paper's evaluation tree), validated
 // against the model.
 func (p *Profile) PlanAllOn(load float64) (*Plan, error) {
-	on := make([]int, p.Size())
-	for i := range on {
-		on[i] = i
-	}
-	plan, err := p.SolveBounded(on, load)
+	plan, err := p.SolveBounded(allIDs(p.Size()), load)
 	if err != nil {
 		return nil, err
 	}

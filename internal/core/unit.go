@@ -13,11 +13,14 @@ import (
 // implementations of the same five operations (Plan, PlanAvoiding,
 // MaxLoad, Consolidate, Patch):
 //
-//   - A leaf Unit is today's flat planner over its contiguous machine
-//     range: per-range kinetic tables (Preprocess) plus the Eq. 21–22
-//     aggregates A = Σ K_i, B = Σ α_i/β_i and the share-scaled clamp
-//     bounds. The whole-room Snapshot is the degenerate single-leaf tree
-//     whose one range is the entire room.
+//   - A leaf Unit plans its contiguous machine range from the range's
+//     pairs, the Eq. 21–22 aggregates A = Σ K_i, B = Σ α_i/β_i and the
+//     share-scaled clamp bounds. A pod leaf solves each subset size by
+//     Dinkelbach's iteration (leafSelect, leafMaxLoad in select.go) and
+//     holds no tables. The whole-room Snapshot is the degenerate
+//     single-leaf tree whose one range is the entire room; its leaf
+//     alone keeps kinetic tables (Preprocess), which make it the exact
+//     planner of Algorithms 1–2.
 //
 //   - An interior Unit owns child units and plans by water-filling its
 //     load over the children's aggregates: Eq. 21 says the exact optimum
@@ -159,11 +162,6 @@ type planTree struct {
 	pods    []*pod // leaf shards, DFS (= ascending machine-range) order
 	root    *Unit
 	totalB  float64
-	// flat selects the historical whole-room Snapshot semantics: a leaf
-	// whose clamped table lookup fails is an infeasibility (the exact
-	// planner has nowhere to fall back to), and diagnostics name the
-	// exact optimizer rather than the hierarchy.
-	flat bool
 	// depth is the requested tree depth; Patch rebuilds the same shape.
 	depth int
 }
@@ -177,49 +175,70 @@ func (pt *planTree) healthyAggs() []podAgg {
 	return aggs
 }
 
+// leafWalk is one descent's state: the union it gathers (global machine
+// IDs, DFS order), the solver buffers its leaves share in turn, and the
+// last leaf's best time. Neighbouring leaves solve near one room-level
+// time, so that time starts the next leaf's iteration; the first leaf
+// starts from its all-on time.
+type leafWalk struct {
+	union  []int
+	d      dinkelbach
+	t      float64
+	solved bool
+}
+
 // selectFor recursively allocates load down the unit tree and gathers
-// every leaf's on-set into union (global machine IDs, DFS order):
+// every leaf's on-set into w.union:
 //
 //   - an interior node with one child passes the load through unchanged;
 //   - an interior node water-fills over its children's aggregate curves
 //     (waterFill — the same bisection at every level) and recurses;
-//   - a leaf answers from its kinetic tables (clampedSelect), or from the
-//     survivor prefix sweep when the degraded path restricted it
+//   - the flat Snapshot's leaf answers from its kinetic tables
+//     (clampedSelect); a pod leaf from leafSelect over its machines, or
+//     over its survivors when the degraded path restricted it
 //     (surv[leaf] non-nil).
 //
 // Allocations at or below the water-fill noise floor (1e-12) prune the
 // subtree. aggs holds the per-leaf aggregates the interior curves sum —
 // healthy or survivor-restricted — so one recursion serves both paths.
-func (pt *planTree) selectFor(u *Unit, load float64, aggs []podAgg, surv [][]int, union *[]int) error {
+func (pt *planTree) selectFor(u *Unit, load float64, aggs []podAgg, surv [][]int, w *leafWalk) error {
 	if load <= 1e-12 {
 		return nil
 	}
 	if u.leaf != nil {
 		pd := u.leaf
 		var local []int
-		if surv != nil && surv[u.lo] != nil {
-			var ok bool
-			local, ok = survivorSelect(pd.reduced.Pairs, surv[u.lo], load, pd.bounds)
-			if !ok {
-				local = append([]int(nil), surv[u.lo]...)
+		if pd.pre != nil {
+			k, e, _ := clampedSelect(pd.pre, load, pd.bounds)
+			if k == 0 {
+				return fmt.Errorf("%w: no machine subset satisfies load %v within constraints", ErrInfeasible, load)
 			}
-		} else if k, e, _ := clampedSelect(pd.pre, load, pd.bounds); k > 0 {
 			local = pd.pre.frontSet(e, k)
-		} else if pt.flat {
-			return fmt.Errorf("%w: no machine subset satisfies load %v within constraints", ErrInfeasible, load)
 		} else {
-			local = make([]int, len(pd.ids))
-			for i := range local {
-				local[i] = i
+			var own []int
+			if surv != nil {
+				own = surv[u.lo]
+			}
+			start := w.t
+			if !w.solved {
+				start = math.Max(0, (aggs[u.lo].sumA-load)/aggs[u.lo].sumB)
+			}
+			var t float64
+			// A leaf whose clamp admits no subset powers every machine
+			// it has left, always capacity-feasible for its slice.
+			if local, t = w.d.leafSelect(pd.reduced.Pairs, own, load, start, pd.bounds); local != nil {
+				w.t, w.solved = t, true
+			} else if local = own; local == nil {
+				local = allIDs(len(pd.ids))
 			}
 		}
 		for _, li := range local {
-			*union = append(*union, pd.ids[li])
+			w.union = append(w.union, pd.ids[li])
 		}
 		return nil
 	}
 	if len(u.children) == 1 {
-		return pt.selectFor(u.children[0], load, aggs, surv, union)
+		return pt.selectFor(u.children[0], load, aggs, surv, w)
 	}
 	childAggs := make([]podAgg, len(u.children))
 	for i, c := range u.children {
@@ -227,7 +246,7 @@ func (pt *planTree) selectFor(u *Unit, load float64, aggs []podAgg, surv [][]int
 	}
 	allocs := waterFill(childAggs, load)
 	for i, c := range u.children {
-		if err := pt.selectFor(c, allocs[i], aggs, surv, union); err != nil {
+		if err := pt.selectFor(c, allocs[i], aggs, surv, w); err != nil {
 			return err
 		}
 	}
@@ -247,10 +266,11 @@ func (pt *planTree) selectUnion(load float64) ([]int, error) {
 	if load > float64(n) {
 		return nil, fmt.Errorf("%w: load %v exceeds cluster capacity %d", ErrInfeasible, load, n)
 	}
-	var union []int
-	if err := pt.selectFor(pt.root, load, pt.healthyAggs(), nil, &union); err != nil {
+	var w leafWalk
+	if err := pt.selectFor(pt.root, load, pt.healthyAggs(), nil, &w); err != nil {
 		return nil, err
 	}
+	union := w.union
 	if len(union) == 0 {
 		return nil, fmt.Errorf("%w: no pod accepts any of load %v", ErrInfeasible, load)
 	}
@@ -282,11 +302,7 @@ func (pt *planTree) plan(load float64) (*Plan, error) {
 		return nil, err
 	}
 	if n := pt.profile.Size(); pinned && len(pt.pods) == 1 && len(union) < n {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		if allOn, err := pt.profile.SolveBounded(all, load); err == nil && pt.profile.PlanPower(allOn) < pt.profile.PlanPower(plan) {
+		if allOn, err := pt.profile.SolveBounded(allIDs(n), load); err == nil && pt.profile.PlanPower(allOn) < pt.profile.PlanPower(plan) {
 			plan = allOn
 		}
 	}
@@ -296,10 +312,11 @@ func (pt *planTree) plan(load float64) (*Plan, error) {
 	return plan, nil
 }
 
-// kind names the planner in diagnostics: the flat exact optimizer and
-// the hierarchy keep their historical error strings.
+// kind names the planner in diagnostics: the flat exact optimizer (the
+// one tree whose leaf holds tables) and the hierarchy keep their
+// historical error strings.
 func (pt *planTree) kind() string {
-	if pt.flat {
+	if pt.pods[0].pre != nil {
 		return "optimizer"
 	}
 	return "hierarchical optimizer"
@@ -307,9 +324,9 @@ func (pt *planTree) kind() string {
 
 // selectAvoiding is the degraded analogue of selectUnion: leaf
 // aggregates restricted to the survivors, the same recursive water-fill,
-// per-leaf selection (tables for untouched leaves, survivor prefix sweep
-// for affected ones), and the bounded exchange over the union with the
-// avoid set masked out of every add and swap.
+// per-leaf selection (leafSelect over all machines of untouched leaves,
+// over the survivors of affected ones), and the bounded exchange over
+// the union with the avoid set masked out of every add and swap.
 func (pt *planTree) selectAvoiding(load float64, blocked []bool) ([]int, error) {
 	aggs := make([]podAgg, len(pt.pods))
 	survLocal := make([][]int, len(pt.pods))
@@ -335,10 +352,11 @@ func (pt *planTree) selectAvoiding(load float64, blocked []bool) ([]int, error) 
 		}
 		aggs[j] = agg
 	}
-	var union []int
-	if err := pt.selectFor(pt.root, load, aggs, survLocal, &union); err != nil {
+	var w leafWalk
+	if err := pt.selectFor(pt.root, load, aggs, survLocal, &w); err != nil {
 		return nil, err
 	}
+	union := w.union
 	if len(union) == 0 {
 		return nil, fmt.Errorf("%w: no pod accepts any of load %v around %d failures",
 			ErrInfeasible, load, countBlocked(blocked))
@@ -468,17 +486,15 @@ func (pt *planTree) topUp(union []int, load float64, minK int) ([]int, error) {
 }
 
 // maxLoadUnion gathers every leaf's best subset for its cooling-share of
-// the budget, DFS over the tree — the recursive half of maxLoad. Leaves
-// the budget cannot serve contribute nothing.
+// the budget (leafMaxLoad), DFS over the tree — the recursive half of
+// maxLoad. Leaves the budget cannot serve contribute nothing. Only pod
+// trees answer budgets here; a whole-room engine asks its tables.
 func (pt *planTree) maxLoadUnion(u *Unit, budgetW float64, union *[]int) {
 	if u.leaf != nil {
 		pd := u.leaf
-		res, err := pd.pre.MaxLoad(budgetW * pd.share)
+		res, err := leafMaxLoad(pd.reduced, budgetW*pd.share)
 		if err != nil {
 			return
-		}
-		if res.Load > float64(len(res.Subset)) {
-			res.Load = float64(len(res.Subset))
 		}
 		for _, li := range res.Subset {
 			*union = append(*union, pd.ids[li])

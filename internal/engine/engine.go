@@ -169,7 +169,7 @@ type Stats struct {
 	// QuantizedKeys reports load-bucketed cache keys (the default).
 	QuantizedKeys bool `json:"quantizedKeys"`
 	// Epoch and Machines describe the installed model; Pods and PodDepth
-	// are zero without pod tables (PodDepth is the planner tree's depth:
+	// are zero without a pod tree (PodDepth is the planner tree's depth:
 	// 2 = classic pod split, 3 = pods of pods). Hierarchical reports
 	// whether the installed model is a pod tree.
 	Epoch        uint64 `json:"epoch"`
@@ -326,7 +326,7 @@ func fromState(snap *core.Snapshot, pods *core.PodSnapshot, opts []Option) (*Eng
 // newState builds the serving state over exactly one of snap and pods.
 func newState(snap *core.Snapshot, pods *core.PodSnapshot) (*state, error) {
 	if (snap == nil) == (pods == nil) {
-		return nil, errors.New("engine: need exactly one of whole-room tables and pod tables")
+		return nil, errors.New("engine: need exactly one of whole-room tables and a pod tree")
 	}
 	if pods != nil {
 		pl, err := baseline.NewPlannerOnProfile(pods.Profile())
@@ -605,8 +605,8 @@ func survivors(n int, avoid []int) []int {
 }
 
 // degradedPlan plans around the avoid set. On a pod engine the pod-local
-// PlanAvoiding answers: untouched pods reuse their tables, affected pods
-// re-solve survivor-restricted, and the flat O(n²) pool sweep never
+// PlanAvoiding answers: untouched pods plan over all their machines,
+// affected pods over their survivors, and the flat O(n²) pool sweep never
 // runs. On a whole-room engine the paper's closed form re-runs over the
 // survivors (context-cancellable). Either way, when even the full
 // surviving set cannot carry the demand the excess is shed to the pool's

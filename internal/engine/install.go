@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"coolopt/internal/core"
 )
@@ -83,14 +82,14 @@ func (e *Engine) PrepareInstall(snap *core.Snapshot, pods *core.PodSnapshot) (*P
 // live tables with a drift batch: whole-room tables splice their retained
 // crossing list when the live snapshot carries one (WithPatchSupport —
 // the patched result always does, so the path is self-sustaining), and a
-// pod tree rebuilds only the pods containing drifted machines. Invalid
+// pod tree re-derives its table-free leaves in O(n). Invalid
 // batches are refused with core.ErrBadDelta. The live state keeps serving
 // untouched throughout.
 //
 // Power-model drift (core.PowerDrift) forces a from-scratch rebuild,
 // still bit-identical to a fresh build: replacement W1/W2 move every
-// particle, so no retained crossing survives and no pod is spared. So
-// does a whole-room snapshot that retained no crossings.
+// particle, so no retained crossing survives. So does a whole-room
+// snapshot that retained no crossings.
 func (e *Engine) PreparePatch(drifted []core.MachineDelta) (*PreparedInstall, error) {
 	cur := e.state.Load()
 	var (
@@ -100,7 +99,7 @@ func (e *Engine) PreparePatch(drifted []core.MachineDelta) (*PreparedInstall, er
 		patched = !core.PowerDrift(drifted)
 	)
 	if cur.pods != nil {
-		pods, err = cur.pods.Patch(drifted, core.WithPodBuildWorkers(patchWorkers()))
+		pods, err = cur.pods.Patch(drifted)
 	} else {
 		patched = patched && cur.snap.PatchSupported()
 		snap, err = cur.snap.Patch(drifted, core.WithPatchSupport())
@@ -117,15 +116,6 @@ func (e *Engine) PreparePatch(drifted []core.MachineDelta) (*PreparedInstall, er
 		base:    cur.epoch,
 		patched: patched,
 	}, nil
-}
-
-// patchWorkers is the pod-rebuild pool of a patch install: one processor
-// fewer than GOMAXPROCS, and at least one. An install rebuilds pods while
-// the live state keeps serving; on every processor it would leave a plan
-// that lost its processor waiting out a whole scheduler time slice,
-// several times the plan's own cost.
-func patchWorkers() int {
-	return max(1, runtime.GOMAXPROCS(0)-1)
 }
 
 // CommitInstall publishes a prepared state: an epoch-checked pointer swap

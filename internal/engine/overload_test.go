@@ -329,19 +329,18 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	}
 }
 
-// TestFailedInstallKeepsServing: a pod-build failure via the injectable
-// check never reaches an install, and the old state keeps serving.
+// TestFailedInstallKeepsServing: a pod build that fails on an invalid
+// profile never reaches an install, and the old state keeps serving.
 func TestFailedInstallKeepsServing(t *testing.T) {
 	e := testEngine(t, 16)
 	ctx := context.Background()
 	if _, err := e.Plan(ctx, Request{Load: 4}); err != nil {
 		t.Fatal(err)
 	}
-	boom := errors.New("injected pod build failure")
-	_, err := core.NewPodSnapshot(testProfile(16), 1,
-		core.WithPodSize(4), core.WithPodBuildCheck(func(int) error { return boom }))
-	if !errors.Is(err, boom) {
-		t.Fatalf("pod build: err = %v, want injected failure", err)
+	bad := testProfile(16)
+	bad.Machines[5].Alpha = -bad.Machines[5].Alpha
+	if _, err := core.NewPodSnapshot(bad, 1, core.WithPodSize(4)); err == nil {
+		t.Fatal("pod build accepted a profile with a negative alpha")
 	}
 	// The failed build never reached Install; the engine still serves
 	// epoch 0 and stays ready.

@@ -1,16 +1,11 @@
 package faults
 
-import (
-	"fmt"
-
-	"coolopt/internal/core"
-	"coolopt/internal/engine"
-)
+import "coolopt/internal/engine"
 
 // Engine-layer injectors: where room.go breaks the physical plant and
 // middleware.go breaks the transport, these break the plan-serving layer
-// itself — slow snapshot installs, pod-table builds that die partway,
-// and the failure-burst shapes the degraded planner must absorb.
+// itself — slow snapshot installs and the failure-burst shapes the
+// degraded planner must absorb.
 
 // SlowInstall holds the engine's install gate open, simulating a
 // minutes-long table build feeding a later Install or
@@ -19,19 +14,6 @@ import (
 // the returned release func is called. Release is idempotent.
 func SlowInstall(e *engine.Engine) (release func()) {
 	return e.BeginInstall()
-}
-
-// FailPodBuild returns a pod option whose build check fails pod number
-// pod with a recognizable error — the injection for a pod-table build
-// that dies partway through, which must leave the engine's previous
-// snapshot serving untouched.
-func FailPodBuild(pod int) core.PodOption {
-	return core.WithPodBuildCheck(func(j int) error {
-		if j == pod {
-			return fmt.Errorf("faults: injected build failure in pod %d", pod)
-		}
-		return nil
-	})
 }
 
 // ConcentratedBurst returns f failed machine IDs packed contiguously

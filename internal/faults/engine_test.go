@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"strings"
 	"testing"
 
 	"coolopt/internal/core"
@@ -60,17 +59,6 @@ func TestBurstShapes(t *testing.T) {
 	// Oversized bursts clamp to the room.
 	if got := len(ConcentratedBurst(8, 100)); got != 8 {
 		t.Fatalf("oversized concentrated burst: %d machines", got)
-	}
-}
-
-func TestFailPodBuild(t *testing.T) {
-	_, err := core.NewPodSnapshot(burstProfile(32), 0, core.WithPodCount(4), FailPodBuild(2))
-	if err == nil || !strings.Contains(err.Error(), "injected build failure in pod 2") {
-		t.Fatalf("err = %v, want the injected pod-2 failure", err)
-	}
-	// Other pods build fine when the failing pod is out of range.
-	if _, err := core.NewPodSnapshot(burstProfile(32), 0, core.WithPodCount(4), FailPodBuild(99)); err != nil {
-		t.Fatalf("non-matching injection broke the build: %v", err)
 	}
 }
 

@@ -157,10 +157,11 @@ func (o hierarchyOption) apply(opts *options) {
 	opts.podOpts = append(opts.podOpts, o...)
 }
 
-// WithHierarchy additionally builds pod-sharded consolidation tables
-// (WithPodSize, WithPodCount, WithPodBuildWorkers) and serves the engine
-// from them instead of the whole-room snapshot; Planner and Snapshot keep
-// the whole-room tables.
+// WithHierarchy additionally builds a pod-sharded planner tree
+// (WithPodSize, WithPodCount, WithPodDepth) whose table-free pod leaves
+// each solve their slice of the load by Dinkelbach's iteration, and
+// serves the engine from it instead of the whole-room snapshot; Planner
+// and Snapshot keep the whole-room tables.
 func WithHierarchy(opts ...PodOption) Option { return hierarchyOption(opts) }
 
 type engineOptsOption []engine.Option
@@ -276,7 +277,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	if o.hier {
 		pods, err := core.NewPodSnapshot(res.Profile, 0, o.podOpts...)
 		if err != nil {
-			return nil, fmt.Errorf("coolopt: pod tables: %w", err)
+			return nil, fmt.Errorf("coolopt: pod tree: %w", err)
 		}
 		if eng, err = engine.FromPodSnapshot(pods, o.engOpts...); err != nil {
 			return nil, fmt.Errorf("coolopt: hierarchy: %w", err)
@@ -321,13 +322,13 @@ func (s *System) Planner() *Planner { return s.planner }
 func (s *System) Snapshot() *Snapshot { return s.planner.Snapshot() }
 
 // Engine returns the concurrent plan-serving engine over the system's
-// whole-room snapshot, or over its pod tables under WithHierarchy. Clones
+// whole-room snapshot, or over its pod tree under WithHierarchy. Clones
 // share the engine: it only touches the frozen model,
 // never the simulated room.
 func (s *System) Engine() *Engine { return s.engine }
 
-// Pods returns the pod-sharded consolidation tables the engine serves
-// under WithHierarchy, or nil when it serves the whole-room tables.
+// Pods returns the pod-sharded planner tree the engine serves under
+// WithHierarchy, or nil when it serves the whole-room tables.
 func (s *System) Pods() *PodSnapshot { return s.engine.Pods() }
 
 // Size returns the number of machines.
