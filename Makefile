@@ -22,10 +22,11 @@ GO ?= go
 # workload for a second and fails on any wrong answer or failed
 # operation; fuzz-smoke fuzzes the table-backed leaf planner's
 # early-stopping k sweep against its full-sweep oracle, the table-free
-# leaf planner against exhaustive enumeration, and the crossing radix
-# sort against the comparison sort, ten seconds each; cover ratchets combined
-# internal/core + internal/engine statement coverage against the
-# committed coverage_baseline.json.
+# leaf planner against exhaustive enumeration, the crossing radix sort
+# against the comparison sort, snapshot patches against cold rebuilds and
+# the pooled union refinement against its scan, ten seconds each; cover
+# ratchets combined internal/core + internal/engine statement coverage
+# against the committed coverage_baseline.json.
 .PHONY: ci
 ci: fmt-check vet lint race build serving-smoke hierarchy-smoke hier3-smoke degraded-smoke degraded-chaos-smoke incremental-smoke incremental-chaos-smoke perfbench-smoke fuzz-smoke cover
 
@@ -145,7 +146,9 @@ degraded-chaos-smoke:
 
 # Refresh the incremental snapshot-maintenance trajectory committed at
 # the repo root (n=4096: PodSnapshot.Patch vs full rebuild with the ≥20×
-# speedup gate at k=16 and the <1 ms pipelined-commit gate).
+# speedup gate at k=16, the ≥2× pod-patch-over-cold-pod-build gate for a
+# concentrated k=16 batch, the ≤2.5 cold-pod-build pipelined-prepare
+# gate and the <1 ms pipelined-commit gate).
 .PHONY: incremental-bench
 incremental-bench:
 	$(GO) run ./cmd/paperbench -incremental-bench BENCH_incremental.json
@@ -153,7 +156,9 @@ incremental-bench:
 # incremental-smoke runs the incremental benchmark at a small size. The
 # speedup floor is looser than the committed trajectory's: with 256
 # machines in 8 pods a 16-machine batch touches most pods, so the
-# locality win is proportionally smaller than at 4096.
+# locality win is proportionally smaller than at 4096. For the same
+# reason the pod-patch gate applies only from 16 pods up; the prepare
+# gate applies here too.
 .PHONY: incremental-smoke
 incremental-smoke:
 	$(GO) run ./cmd/paperbench -incremental-bench /tmp/BENCH_incremental_smoke.json -incremental-n 256 -incremental-pods 8 -incremental-speedup-floor 2
@@ -181,7 +186,7 @@ perfbench-smoke:
 		echo "perfbench-smoke: want \"correct\":true and \"failed\":0, got:"; echo "$$out"; exit 1; \
 	fi
 
-# fuzz-smoke runs three fuzz targets for ten seconds each.
+# fuzz-smoke runs five fuzz targets for ten seconds each.
 # FuzzClampedSelect draws random small rooms, clamp bounds and loads,
 # where clampedSelect's cooling-floor stop must pick the full sweep's k,
 # event and score bit for bit. FuzzLeafSelect draws rooms of at most ten
@@ -190,13 +195,21 @@ perfbench-smoke:
 # finds. FuzzSortCrossings draws crossing lists
 # (ties, 1-ulp neighbours, subnormals, MaxFloat64, +Inf) on both sides of
 # the insertion-sort cutoff, where the radix sort must match the
-# comparison sort's time sequence and keep every record. New failing
-# inputs land in internal/core/testdata/fuzz/<target>.
+# comparison sort's time sequence and keep every record.
+# FuzzSnapshotPatch draws drift batches (empty, all machines, invalid
+# coefficients, duplicate and out-of-range IDs), where both Patch paths,
+# the touched-leaf pod patch among them, must match a cold rebuild byte
+# for byte or refuse with ErrBadDelta. FuzzRefineUnion draws small rooms
+# with ties and 1-ulp nudges, where the union refinement on its pooled
+# workspace must return the scan's union exactly. New failing inputs
+# land in internal/core/testdata/fuzz/<target>.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClampedSelect$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLeafSelect$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSortCrossings$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotPatch$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzRefineUnion$$' -fuzztime 10s ./internal/core
 
 # cover runs the full test suite with atomic coverage and ratchets the
 # combined internal/core + internal/engine statement coverage against

@@ -9,19 +9,48 @@ import (
 
 	"coolopt"
 	"coolopt/internal/chaos"
+	"coolopt/internal/clock"
 	"coolopt/internal/faults"
 )
 
 // This file implements -incremental-bench and -incremental-chaos: the
 // measurements for incremental snapshot maintenance. The bench compares
-// applying a k-machine drift batch through PodSnapshot.Patch (pod leaves
-// hold no tables, so a patch re-derives every leaf's aggregates in O(n))
-// against rebuilding the planning state from scratch, writing a JSON
-// trajectory (BENCH_incremental.json). The run doubles as a
-// regression gate: it fails if any k-machine point at the gate size stops
-// beating the full rebuild by -incremental-speedup-floor, or if the
-// pipelined install's commit (the epoch-checked pointer swap) exceeds
-// -incremental-commit-limit-ns.
+// applying a k-machine drift batch through PodSnapshot.Patch (which
+// re-derives only the pod leaves holding a drifted machine, plus O(n)
+// copies of the room's pairs and profile) against rebuilding the
+// planning state from scratch, writing a JSON trajectory
+// (BENCH_incremental.json). The run doubles as a regression gate. It
+// fails when, at the gate size of 16 drifted machines:
+//
+//   - a pod patch stops beating the whole-room exact-table rebuild by
+//     -incremental-speedup-floor;
+//   - in a room of at least podGateMinPods pods, a concentrated batch's
+//     pod patch stops beating a cold pod build by podSpeedupFloor (a
+//     patch that re-derives every leaf reads about 1);
+//   - the pipelined install's prepare costs more than prepareRatioLimit
+//     cold pod builds (an O(n log n) step in the install, such as
+//     sorting the room for the scenario planner, reads about 4–5);
+//   - the install's commit (the epoch-checked pointer swap) exceeds
+//     -incremental-commit-limit-ns.
+//
+// The pod build, patch and prepare times are each the best of podReps
+// runs.
+
+// Gates on the pod patch path, set from measurement (EXPERIMENTS.md,
+// "Installs pay for the drift"). At n = 4096 in 16 pods a touched-leaf
+// patch reads 3.0–4.5× a cold pod build and its install prepare 0.26–0.45
+// cold builds; re-deriving every leaf read 1.1–1.6×, and sorting the
+// room in the prepare 4.2–4.6 builds. At n = 256 in 8 pods the prepare
+// reads 0.4–1.1 builds (3.6–5.1 with the sort), but the patch ratio
+// spreads over 0.8–1.9× either way: microsecond timings of a room whose
+// 16-machine batch fills half a pod, so the patch floor applies only
+// from podGateMinPods pods up.
+const (
+	podSpeedupFloor   = 2.0
+	podGateMinPods    = 16
+	prepareRatioLimit = 2.5
+	podReps           = 15
+)
 
 // incrementalPoint is one (drift size, burst shape) cell.
 type incrementalPoint struct {
@@ -32,19 +61,22 @@ type incrementalPoint struct {
 	// PodPatchNS is the PodSnapshot.Patch latency for this batch.
 	PodPatchNS int64 `json:"pod_patch_ns"`
 	// PodRebuildSpeedup is the from-scratch pod tree build over the
-	// patch (about 1: both are the same O(n) leaf setup); FullRebuildSpeedup is the from-scratch exact-table rebuild
-	// over the patch — what landing this drift batch cost before
-	// incremental maintenance existed.
+	// patch: both copy the room in O(n), but the patch re-derives only
+	// the leaves a drifted machine sits in. FullRebuildSpeedup is the
+	// from-scratch exact-table rebuild over the patch — what landing
+	// this drift batch cost before incremental maintenance existed.
 	PodRebuildSpeedup  float64 `json:"pod_rebuild_speedup"`
 	FullRebuildSpeedup float64 `json:"full_rebuild_speedup"`
 }
 
 // incrementalBench is the file schema.
 type incrementalBench struct {
-	GeneratedUnix int64   `json:"generated_unix"`
-	SpeedupFloor  float64 `json:"speedup_floor"`
-	GateDrifted   int     `json:"gate_drifted"`
-	CommitLimitNS int64   `json:"commit_limit_ns"`
+	GeneratedUnix     int64   `json:"generated_unix"`
+	SpeedupFloor      float64 `json:"speedup_floor"`
+	PodSpeedupFloor   float64 `json:"pod_speedup_floor"`
+	PrepareRatioLimit float64 `json:"prepare_ratio_limit"`
+	GateDrifted       int     `json:"gate_drifted"`
+	CommitLimitNS     int64   `json:"commit_limit_ns"`
 	// RebuildFlatNS and RebuildPodNS are the from-scratch build times of
 	// the exact tables (with crossing retention) and the pod tree.
 	// RetainedBytes is the extra memory the exact tables carry to stay
@@ -58,9 +90,11 @@ type incrementalBench struct {
 	FlatPatchNS int64 `json:"flat_patch_ns"`
 	// PrepareNS and CommitNS split one pipelined engine install: the
 	// off-hot-path build versus the epoch-checked pointer swap.
-	PrepareNS int64              `json:"prepare_ns"`
-	CommitNS  int64              `json:"commit_ns"`
-	Points    []incrementalPoint `json:"points"`
+	// PrepareRatio is PrepareNS over RebuildPodNS.
+	PrepareNS    int64              `json:"prepare_ns"`
+	CommitNS     int64              `json:"commit_ns"`
+	PrepareRatio float64            `json:"prepare_ratio"`
+	Points       []incrementalPoint `json:"points"`
 }
 
 // driftBurst turns a burst's machine IDs into a valid drift batch against
@@ -84,7 +118,8 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 	p := syntheticProfile(n)
 	res := incrementalBench{
 		GeneratedUnix: benchClock.Now().Unix(),
-		SpeedupFloor:  speedupFloor, GateDrifted: gateK, CommitLimitNS: commitLimitNS,
+		SpeedupFloor:  speedupFloor, PodSpeedupFloor: podSpeedupFloor, PrepareRatioLimit: prepareRatioLimit,
+		GateDrifted: gateK, CommitLimitNS: commitLimitNS,
 	}
 
 	// Full-rebuild baselines: the exact tables (what a drift batch cost
@@ -107,7 +142,7 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 		podOpts = append(podOpts, coolopt.WithPodCount(podCount))
 	}
 	var pods *coolopt.PodSnapshot
-	podD, err := bestOf(3, func() error {
+	podD, err := bestOf(podReps, func() error {
 		var err error
 		pods, err = coolopt.NewPodSnapshot(p, 0, podOpts...)
 		return err
@@ -134,7 +169,7 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 		for _, shape := range shapes {
 			batch := driftBurst(p, shape.burst(n, k))
 			var patched *coolopt.PodSnapshot
-			d, err := bestOf(3, func() error {
+			d, err := bestOf(podReps, func() error {
 				var err error
 				patched, err = pods.Patch(batch)
 				return err
@@ -158,8 +193,13 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 					k, shape.name, time.Duration(pt.PodPatchNS), pt.FullRebuildSpeedup,
 					time.Duration(res.RebuildFlatNS), speedupFloor)
 			}
+			if k == gateK && shape.name == "concentrated" && pt.Pods >= podGateMinPods && pt.PodRebuildSpeedup < podSpeedupFloor {
+				return fmt.Errorf("pod patch regression at k=%d %s: patch %v is only %.2f× the %v cold pod build, floor %.1f×",
+					k, shape.name, time.Duration(pt.PodPatchNS), pt.PodRebuildSpeedup,
+					time.Duration(res.RebuildPodNS), podSpeedupFloor)
+			}
 			res.Points = append(res.Points, pt)
-			fmt.Fprintf(out, "incremental n=%d (%d pods) k=%-3d %-12s: patch %v vs rebuild %v pod / %v full (%.0f× / %.0f×)\n",
+			fmt.Fprintf(out, "incremental n=%d (%d pods) k=%-3d %-12s: patch %v vs rebuild %v pod / %v full (%.2f× / %.0f×)\n",
 				n, pt.Pods, k, shape.name, time.Duration(pt.PodPatchNS),
 				time.Duration(res.RebuildPodNS), time.Duration(res.RebuildFlatNS),
 				pt.PodRebuildSpeedup, pt.FullRebuildSpeedup)
@@ -188,24 +228,34 @@ func runIncrementalBench(out io.Writer, path string, n, podCount int, speedupFlo
 	if err != nil {
 		return err
 	}
-	prepStart := benchClock.Now()
-	prep, err := eng.PreparePatch(gateBatch)
+	// Preparing publishes nothing, so the prepare repeats against the
+	// same live state and the last one is committed.
+	var prep *coolopt.PreparedInstall
+	prepD, err := bestOf(podReps, func() error {
+		var err error
+		prep, err = eng.PreparePatch(gateBatch)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("prepare install: %w", err)
 	}
-	prepEnd := benchClock.Now()
+	commitStart := benchClock.Now()
 	if err := eng.CommitInstall(prep); err != nil {
 		return fmt.Errorf("commit install: %w", err)
 	}
-	commitEnd := benchClock.Now()
-	res.PrepareNS = prepEnd.Sub(prepStart).Nanoseconds()
-	res.CommitNS = commitEnd.Sub(prepEnd).Nanoseconds()
+	res.CommitNS = clock.Since(benchClock, commitStart).Nanoseconds()
+	res.PrepareNS = prepD.Nanoseconds()
+	res.PrepareRatio = float64(res.PrepareNS) / float64(res.RebuildPodNS)
 	if res.CommitNS > commitLimitNS {
 		return fmt.Errorf("install commit latency regression: %v exceeds the %v limit",
 			time.Duration(res.CommitNS), time.Duration(commitLimitNS))
 	}
-	fmt.Fprintf(out, "incremental n=%d pipelined install: prepare %v, commit %v (limit %v)\n",
-		n, time.Duration(res.PrepareNS), time.Duration(res.CommitNS), time.Duration(commitLimitNS))
+	if res.PrepareRatio > prepareRatioLimit {
+		return fmt.Errorf("install prepare regression: %v is %.2f× the %v cold pod build, limit %.1f×",
+			prepD, res.PrepareRatio, time.Duration(res.RebuildPodNS), prepareRatioLimit)
+	}
+	fmt.Fprintf(out, "incremental n=%d pipelined install: prepare %v (%.2f× a cold pod build, limit %.1f×), commit %v (limit %v)\n",
+		n, prepD, res.PrepareRatio, prepareRatioLimit, time.Duration(res.CommitNS), time.Duration(commitLimitNS))
 
 	data, err := json.MarshalIndent(&res, "", "  ")
 	if err != nil {

@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"coolopt/internal/core"
 	"coolopt/internal/units"
@@ -96,18 +97,26 @@ func (m Method) Consolidates() bool {
 
 // Planner produces executable plans for every scenario against one
 // profiled machine room.
+//
+// The cool order ranks machines by their modeled idle CPU temperature at
+// a reference supply temperature — the measurable proxy for "coolest
+// spot" that the cool-job-allocation operators would use. Only the
+// bottom-up scenarios read it, and it is an O(n log n) sort, so it is
+// built on the first bottomUpPlan or CoolOrder call rather than at
+// construction: an engine rebuilds its planner on every install, and
+// most generations never serve a bottom-up plan. The fixed supply
+// temperature — the highest value safe with every machine at full load —
+// is computed eagerly, so a room without one is refused at construction.
 type Planner struct {
 	profile   *core.Profile
 	optimizer *core.Optimizer
-	coolOrder []int         // machine IDs coolest-spot first
 	fixedTAc  units.Celsius // supply temperature for the no-AC-control scenarios
+
+	coolOnce  sync.Once
+	coolOrder []int // machine IDs coolest-spot first; set by coolOnce
 }
 
-// NewPlanner builds a planner. The cool order ranks machines by their
-// modeled idle CPU temperature at a reference supply temperature — the
-// measurable proxy for "coolest spot" that the cool-job-allocation
-// operators would use. The fixed supply temperature is the highest value
-// safe with every machine at full load.
+// NewPlanner builds a planner over a whole-room snapshot of p.
 func NewPlanner(p *core.Profile, opts ...core.PreprocessOption) (*Planner, error) {
 	snap, err := core.NewSnapshot(p, 0, opts...)
 	if err != nil {
@@ -124,34 +133,31 @@ func NewPlannerOn(snap *core.Snapshot) (*Planner, error) {
 	return newPlanner(snap.Profile(), core.NewOptimizerFromSnapshot(snap))
 }
 
-// NewPlannerOnProfile builds a planner without whole-room consolidation
-// tables: every scenario works except #8, which needs the kinetic
-// structure and returns an error. This is the construction for pod-only
-// serving (rooms past the whole-room table cap), where the hierarchical
-// engine path answers #8 instead.
-func NewPlannerOnProfile(p *core.Profile) (*Planner, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return newPlanner(p, nil)
+// NewPlannerOnPods builds a planner over a pod snapshot's frozen profile,
+// without whole-room consolidation tables: every scenario works except
+// #8, which needs the kinetic structure and returns an error. This is
+// the construction for pod-only serving (rooms past the whole-room table
+// cap), where the hierarchical engine path answers #8 instead. The
+// snapshot validated its profile when it was built, so this does not
+// validate it again.
+func NewPlannerOnPods(pods *core.PodSnapshot) (*Planner, error) {
+	return newPlanner(pods.Profile(), nil)
 }
 
 func newPlanner(p *core.Profile, opt *core.Optimizer) (*Planner, error) {
-	ref := units.Celsius((p.TAcMinC + p.TAcMaxC) / 2)
-	order := coolOrder(p, ref)
-
-	all := make([]int, p.Size())
-	full := make([]float64, p.Size())
-	for i := range all {
-		all[i] = i
-		full[i] = 1
-	}
-	fixed, err := p.MaxSafeTAc(all, full)
+	fixed, err := p.MaxSafeTAcAllOn(1)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: no safe fixed supply temperature: %w", err)
 	}
+	return &Planner{profile: p, optimizer: opt, fixedTAc: fixed}, nil
+}
 
-	return &Planner{profile: p, optimizer: opt, coolOrder: order, fixedTAc: fixed}, nil
+// order returns the cool order, building it on first use.
+func (pl *Planner) order() []int {
+	pl.coolOnce.Do(func() {
+		pl.coolOrder = coolOrder(pl.profile, units.Celsius((pl.profile.TAcMinC+pl.profile.TAcMaxC)/2))
+	})
+	return pl.coolOrder
 }
 
 // coolOrder ranks machine IDs by idle CPU temperature at supply ref,
@@ -186,7 +192,7 @@ func coolOrder(p *core.Profile, ref units.Celsius) []int {
 func (pl *Planner) Profile() *core.Profile { return pl.profile }
 
 // Snapshot returns the frozen model backing the planner, or nil for a
-// profile-only planner (NewPlannerOnProfile).
+// pod planner (NewPlannerOnPods).
 func (pl *Planner) Snapshot() *core.Snapshot {
 	if pl.optimizer == nil {
 		return nil
@@ -199,7 +205,7 @@ func (pl *Planner) FixedTAc() units.Celsius { return pl.fixedTAc }
 
 // CoolOrder returns machine IDs coolest-spot first.
 func (pl *Planner) CoolOrder() []int {
-	return append([]int(nil), pl.coolOrder...)
+	return append([]int(nil), pl.order()...)
 }
 
 // Plan returns the plan for a scenario at the given total load (in
@@ -229,7 +235,7 @@ func (pl *Planner) Plan(m Method, load float64) (*core.Plan, error) {
 		return p.PlanAllOn(load)
 	case OptimalACCons:
 		if pl.optimizer == nil {
-			return nil, fmt.Errorf("baseline: %v requires consolidation tables (profile-only planner; use the hierarchical engine path)", m)
+			return nil, fmt.Errorf("baseline: %v requires consolidation tables (pod planner; use the hierarchical engine path)", m)
 		}
 		return pl.optimizer.Plan(load)
 	default:
@@ -276,7 +282,7 @@ func (pl *Planner) bottomUpPlan(load float64, consolidate bool) *core.Plan {
 	loads := make([]float64, n)
 	used := make([]bool, n)
 	remaining := load
-	for _, i := range pl.coolOrder {
+	for _, i := range pl.order() {
 		if remaining <= 0 {
 			break
 		}

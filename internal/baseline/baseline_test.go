@@ -310,7 +310,11 @@ func TestCoolOrderMatchesStableSort(t *testing.T) {
 	sort.SliceStable(want, func(a, b int) bool {
 		return p.CPUTemp(want[a], 0, ref) < p.CPUTemp(want[b], 0, ref)
 	})
-	pl, err := NewPlannerOnProfile(p)
+	pods, err := core.NewPodSnapshot(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := NewPlannerOnPods(pods)
 	if err != nil {
 		t.Fatal(err)
 	}

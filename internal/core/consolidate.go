@@ -37,7 +37,7 @@ type Reduced struct {
 func (p *Profile) Reduce() Reduced {
 	pairs := make([]Pair, p.Size())
 	for i := range pairs {
-		pairs[i] = Pair{A: p.K(i), B: p.RatioAB(i)}
+		pairs[i] = p.pair(i)
 	}
 	return Reduced{
 		Pairs:      pairs,
@@ -47,6 +47,11 @@ func (p *Profile) Reduce() Reduced {
 		SetPointC:  p.SetPointC,
 		W1:         p.W1,
 	}
+}
+
+// pair returns machine i's Eq. 19 particle (K_i, α_i/β_i).
+func (p *Profile) pair(i int) Pair {
+	return Pair{A: p.K(i), B: p.RatioAB(i)}
 }
 
 // Theta returns θ = c·f_ac·T_SP + w1·L, the subset-independent part of

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -138,7 +140,9 @@ func TestHeteroSolveInputValidation(t *testing.T) {
 }
 
 // heteroModelPower is the true objective with the best safe supply for an
-// allocation.
+// allocation, +Inf for an allocation no supply within the actuation
+// bounds keeps under T_max (the tightest machine's limit lies below
+// TAcMinC): such a plan breaks the constraint, so no search may count it.
 func heteroModelPower(hp *HeteroProfile, on []int, loads []float64) float64 {
 	tAc := hp.TAcMaxC
 	for _, i := range on {
@@ -149,7 +153,7 @@ func heteroModelPower(hp *HeteroProfile, on []int, loads []float64) float64 {
 		}
 	}
 	if tAc < hp.TAcMinC {
-		tAc = hp.TAcMinC
+		return math.Inf(1)
 	}
 	total := hp.CoolingPower(units.Celsius(tAc))
 	for _, i := range on {
@@ -212,50 +216,62 @@ func TestHeteroMatchesNumericOptimum(t *testing.T) {
 	}
 }
 
-// Property: random mixed-hardware instances — the active-set solution is
-// never beaten by the numeric solver.
-func TestHeteroNumericProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := mathx.NewRand(seed)
-		n := 3 + rng.Intn(4)
-		machines := make([]HeteroMachine, n)
-		for i := range machines {
-			machines[i] = HeteroMachine{
-				W1:    rng.Uniform(40, 120),
-				W2:    rng.Uniform(25, 55),
-				Alpha: rng.Uniform(0.8, 1.0),
-				Beta:  rng.Uniform(0.40, 0.50),
-				Gamma: rng.Uniform(0.5, 6),
-			}
+// heteroPropertyHolds draws one random mixed-hardware instance from seed
+// and reports whether the active-set solution serves the load and is not
+// beaten by the numeric solver by more than 1e-3 W. Infeasible instances
+// hold trivially.
+func heteroPropertyHolds(seed int64) bool {
+	rng := mathx.NewRand(seed)
+	n := 3 + rng.Intn(4)
+	machines := make([]HeteroMachine, n)
+	for i := range machines {
+		machines[i] = HeteroMachine{
+			W1:    rng.Uniform(40, 120),
+			W2:    rng.Uniform(25, 55),
+			Alpha: rng.Uniform(0.8, 1.0),
+			Beta:  rng.Uniform(0.40, 0.50),
+			Gamma: rng.Uniform(0.5, 6),
 		}
-		hp := &HeteroProfile{
-			CoolFactor: rng.Uniform(50, 150),
-			SetPointC:  31,
-			TMaxC:      58,
-			TAcMinC:    5,
-			TAcMaxC:    25,
-			Machines:   machines,
-		}
-		if hp.Validate() != nil {
-			return true
-		}
-		on := make([]int, n)
-		for i := range on {
-			on[i] = i
-		}
-		load := rng.Uniform(0.3, 0.8) * float64(n)
-		plan, err := hp.Solve(on, load)
-		if err != nil {
-			return true // infeasible instances are allowed
-		}
-		if !mathx.ApproxEqual(plan.TotalLoad(), load, 1e-6) {
-			return false
-		}
-		closed := heteroModelPower(hp, on, plan.Loads)
-		numeric := heteroModelPower(hp, on, heteroNumericOptimum(hp, on, load))
-		return closed <= numeric+1e-3
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	hp := &HeteroProfile{
+		CoolFactor: rng.Uniform(50, 150),
+		SetPointC:  31,
+		TMaxC:      58,
+		TAcMinC:    5,
+		TAcMaxC:    25,
+		Machines:   machines,
+	}
+	if hp.Validate() != nil {
+		return true
+	}
+	on := make([]int, n)
+	for i := range on {
+		on[i] = i
+	}
+	load := rng.Uniform(0.3, 0.8) * float64(n)
+	plan, err := hp.Solve(on, load)
+	if err != nil {
+		return true // infeasible instances are allowed
+	}
+	if !mathx.ApproxEqual(plan.TotalLoad(), load, 1e-6) {
+		return false
+	}
+	closed := heteroModelPower(hp, on, plan.Loads)
+	numeric := heteroModelPower(hp, on, heteroNumericOptimum(hp, on, load))
+	return closed <= numeric+1e-3
+}
+
+// Property: random mixed-hardware instances — the active-set solution is
+// never beaten by the numeric solver. The instances are seeded, so every
+// run checks the same 40; the two listed seeds once failed because the
+// numeric oracle counted plans that break T_max.
+func TestHeteroNumericProperty(t *testing.T) {
+	for _, seed := range []int64{4748870091650672952, 4956263726638348521} {
+		if !heteroPropertyHolds(seed) {
+			t.Fatalf("regression seed %d fails", seed)
+		}
+	}
+	if err := quick.Check(heteroPropertyHolds, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(21))}); err != nil {
 		t.Fatal(err)
 	}
 }

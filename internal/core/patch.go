@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"coolopt/internal/mathx"
@@ -37,11 +38,13 @@ import (
 //
 //   - Pod leaves. They hold no tables, only their pairs and the
 //     Eq. 21–22 aggregates (A_j, B_j, shares, the share-scaled cooling
-//     leverage Rho_j), all O(n) scalars. Patch re-derives every leaf
-//     with the exact loops NewPodSnapshot runs over the receiver's
-//     partition, so the result is a cold build bit for bit — shares
-//     shift for every pod when any machine's B drifts. The planner tree
-//     is rebuilt to the receiver's shape (same leaves, same depth).
+//     leverage Rho_j). Patch re-derives the pairs and sums of only the
+//     leaves that hold a drifted machine, with the exact helpers
+//     NewPodSnapshot runs, and shares the rest with the receiver; every
+//     leaf's share-scaled scalars are refreshed, since shares shift for
+//     every pod when any machine's B drifts. The result is a cold build
+//     bit for bit. The planner tree is rebuilt to the receiver's shape
+//     (same leaves, same depth).
 //
 //   - Power-model drift. A batch may carry replacement room W1/W2
 //     (Eq. 9) coefficients alongside the per-machine thermal fits. K_i
@@ -49,7 +52,8 @@ import (
 //     particle at once and no crossing survives. The flat Patch detects
 //     this (PowerDrift) and rebuilds its tables — still bit-identical to
 //     a fresh build over the patched profile, just without the
-//     incremental discount. The pod Patch re-derives every leaf anyway.
+//     incremental discount. The pod Patch re-derives every leaf, as a
+//     cold build does.
 
 // MachineDelta is one machine's re-profiled Eq. 8 coefficients, the unit
 // of drift the recursive-least-squares refresher (internal/profiling)
@@ -89,7 +93,11 @@ var ErrBadDelta = errors.New("core: bad drift delta")
 
 // applyDeltas returns a validated deep copy of p with the deltas applied,
 // plus the sorted drifted IDs and whether the batch replaced the room
-// power model. An empty batch yields a plain copy.
+// power model. An empty batch yields a plain copy. The receiver's
+// profile was validated when its snapshot was built, so without power
+// drift only the drifted machines are checked (coefficients and K > 0):
+// every other machine's K is unchanged. Power drift moves every K, so it
+// re-validates the whole profile.
 func applyDeltas(p *Profile, drifted []MachineDelta) (*Profile, []int, bool, error) {
 	frozen := *p
 	frozen.Machines = append([]MachineProfile(nil), p.Machines...)
@@ -122,10 +130,18 @@ func applyDeltas(p *Profile, drifted []MachineDelta) (*Profile, []int, bool, err
 			powerDrift = true
 		}
 	}
-	if err := frozen.Validate(); err != nil {
-		return nil, nil, false, fmt.Errorf("%w: patched profile rejected: %w", ErrBadDelta, err)
-	}
 	sort.Ints(ids)
+	if powerDrift {
+		if err := frozen.Validate(); err != nil {
+			return nil, nil, false, fmt.Errorf("%w: patched profile rejected: %w", ErrBadDelta, err)
+		}
+	} else {
+		for _, id := range ids {
+			if err := frozen.validateMachine(id); err != nil {
+				return nil, nil, false, fmt.Errorf("%w: patched profile rejected: %w", ErrBadDelta, err)
+			}
+		}
+	}
 	return &frozen, ids, powerDrift, nil
 }
 
@@ -262,23 +278,58 @@ func (pp *Preprocessed) patch(r2 Reduced, ids []int, cfg preprocessConfig) (*Pre
 }
 
 // Patch returns a new deep-frozen pod snapshot with the drifted machines'
-// coefficients replaced, tagged with the next epoch. Pod leaves hold no
-// tables, so every leaf's pairs and Eq. 21–22 aggregates (sums, shares,
-// share-scaled cooling leverage) are re-derived with NewPodSnapshot's
-// exact loops in O(n), and the planner tree is rebuilt to the receiver's
-// shape (same leaves, same depth). The result is byte-for-byte identical
-// to NewPodSnapshot(patched profile, epoch+1, WithPodCount(ps.Pods()),
-// WithPodDepth(receiver's depth)) — with or without power drift.
+// coefficients replaced, tagged with the next epoch. The result is byte
+// for byte identical to NewPodSnapshot(patched profile, epoch+1,
+// WithPodCount(ps.Pods()), WithPodDepth(receiver's depth)) — with or
+// without power drift — because both build through the same leaf
+// helpers (leafSums, freezePods):
+//
+//   - Without power drift, the room pairs are copied and only the
+//     drifted entries re-derived, B_total is re-summed in ID order, and
+//     only leaves whose ID range holds a drifted machine re-run their
+//     O(n_j) pair copy and sums. Untouched leaves share their IDs, pairs
+//     and sums with the receiver; every leaf refreshes its share-scaled
+//     scalars (share, Rho, CoolFactor, bounds), since any B drift moves
+//     B_total. A batch of d machines costs O(n) copying plus O(d + pods)
+//     leaf state, not a re-derivation of every leaf.
+//   - Power drift moves every pair, so every leaf is re-derived as in a
+//     cold build.
+//
+// The planner tree is rebuilt to the receiver's shape (same leaves, same
+// depth).
 func (ps *PodSnapshot) Patch(drifted []MachineDelta) (*PodSnapshot, error) {
-	p2, _, _, err := applyDeltas(ps.profile, drifted)
+	p2, ids, powerDrift, err := applyDeltas(ps.profile, drifted)
 	if err != nil {
 		return nil, err
 	}
-	parts := make([][]int, len(ps.pods))
-	for j, pd := range ps.pods {
-		parts[j] = pd.ids
+	if powerDrift {
+		parts := make([][]int, len(ps.pods))
+		for j, pd := range ps.pods {
+			parts[j] = pd.ids
+		}
+		return assemblePods(ps.epoch+1, p2, parts, ps.depth), nil
 	}
-	return assemblePods(ps.epoch+1, p2, parts, ps.depth), nil
+	room := ps.room
+	room.Pairs = slices.Clone(ps.room.Pairs)
+	for _, id := range ids {
+		room.Pairs[id] = p2.pair(id)
+	}
+	leaves := make([]*pod, len(ps.pods))
+	next := 0 // first drifted ID not yet assigned to a leaf
+	for j, pd := range ps.pods {
+		last := pd.ids[len(pd.ids)-1]
+		if next < len(ids) && ids[next] <= last {
+			// A fresh pair slice, not a subslice of room.Pairs: a shared
+			// leaf would otherwise pin this generation's room array.
+			leaves[j] = leafSums(room, pd.ids)
+			for next < len(ids) && ids[next] <= last {
+				next++
+			}
+			continue
+		}
+		leaves[j] = &pod{ids: pd.ids, reduced: Reduced{Pairs: pd.reduced.Pairs}, sumA: pd.sumA, sumB: pd.sumB}
+	}
+	return freezePods(ps.epoch+1, p2, room, leaves, ps.depth), nil
 }
 
 // PodIndex returns the index of the pod containing machine id. Pods

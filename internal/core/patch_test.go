@@ -21,18 +21,22 @@ import (
 // coefficients within the validity envelope (α, β > 0 and K_i > 0 for
 // the paper-regime rooms the battery uses).
 func driftBatch(rng *mathx.Rand, p *Profile, k int) []MachineDelta {
-	n := p.Size()
-	if k > n {
-		k = n
+	return podBatch(rng, p, 0, p.Size(), k)
+}
+
+// podBatch is driftBatch confined to the ID range [lo, lo+size): k
+// distinct machines of the range (all of it when k ≥ size).
+func podBatch(rng *mathx.Rand, p *Profile, lo, size, k int) []MachineDelta {
+	if k > size {
+		k = size
 	}
-	ids := rng.Perm(n)[:k]
 	out := make([]MachineDelta, 0, k)
-	for _, id := range ids {
-		m := p.Machines[id]
+	for _, off := range rng.Perm(size)[:k] {
+		m := p.Machines[lo+off]
 		m.Alpha *= rng.Uniform(0.97, 1.03)
 		m.Beta *= rng.Uniform(0.95, 1.05)
 		m.Gamma += rng.Uniform(-0.5, 0.5)
-		out = append(out, MachineDelta{ID: id, Machine: m})
+		out = append(out, MachineDelta{ID: lo + off, Machine: m})
 	}
 	return out
 }
@@ -380,6 +384,90 @@ func TestPatchRejectsBadDeltas(t *testing.T) {
 		}
 		if _, err := ps.Patch(batch); !errors.Is(err, ErrBadDelta) {
 			t.Fatalf("pods %s: err = %v, want ErrBadDelta", name, err)
+		}
+	}
+}
+
+// TestPatchRejectsInvalidDriftedMachine pins the delta-only validation:
+// without power drift Patch checks only the drifted machines, and each of
+// these must still be refused with ErrBadDelta on both snapshot forms,
+// the receiver serving the same plan afterwards.
+func TestPatchRejectsInvalidDriftedMachine(t *testing.T) {
+	const n = 64
+	profile := hierProfile(n)
+	s, err := NewSnapshot(profile, 0, WithPatchSupport(), WithPreprocessWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := NewPodSnapshot(profile, 0, WithPodCount(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const load = 0.4 * n
+	flatBefore, err := s.Plan(load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	podBefore, err := ps.Plan(load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := profile.Machines[37]
+	infeasible, nanBeta, negAlpha := good, good, good
+	infeasible.Gamma = profile.TMaxC // K = −β·W2/(β·W1) < 0
+	nanBeta.Beta = math.NaN()
+	negAlpha.Alpha = -good.Alpha
+	cases := map[string]MachineProfile{"K <= 0": infeasible, "NaN beta": nanBeta, "negative alpha": negAlpha}
+	for name, m := range cases {
+		// A valid drift beside the bad one: the batch is refused whole.
+		batch := []MachineDelta{{ID: 3, Machine: good}, {ID: 37, Machine: m}}
+		if _, err := s.Patch(batch); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("flat %s: err = %v, want ErrBadDelta", name, err)
+		}
+		if _, err := ps.Patch(batch); !errors.Is(err, ErrBadDelta) {
+			t.Fatalf("pods %s: err = %v, want ErrBadDelta", name, err)
+		}
+		flatAfter, err := s.Plan(load)
+		if err != nil {
+			t.Fatalf("flat %s: receiver stopped serving: %v", name, err)
+		}
+		equalPlans(t, "flat after "+name, flatAfter, flatBefore)
+		podAfter, err := ps.Plan(load)
+		if err != nil {
+			t.Fatalf("pods %s: receiver stopped serving: %v", name, err)
+		}
+		equalPlans(t, "pods after "+name, podAfter, podBefore)
+	}
+}
+
+// TestPatchSharesUntouchedLeaves pins the touched-leaf patch: leaves
+// holding no drifted machine share their IDs and pairs with the receiver
+// by pointer, touched leaves own fresh pairs, and no leaf's pairs alias
+// the room's pair array (that would pin old generations' rooms).
+func TestPatchSharesUntouchedLeaves(t *testing.T) {
+	const n, pods = 1024, 8
+	profile := hierProfile(n)
+	ps, err := NewPodSnapshot(profile, 0, WithPodCount(pods))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mathx.NewRand(4)
+	batch := append(podBatch(rng, profile, 2*n/pods, n/pods, 5), podBatch(rng, profile, 5*n/pods, n/pods, 1)...)
+	next, err := ps.Patch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, pd := range next.pods {
+		old := ps.pods[j]
+		touched := j == 2 || j == 5
+		if &pd.ids[0] != &old.ids[0] {
+			t.Fatalf("pod %d: ids not shared with the receiver", j)
+		}
+		if shared := &pd.reduced.Pairs[0] == &old.reduced.Pairs[0]; shared == touched {
+			t.Fatalf("pod %d (touched %t): pairs shared = %t", j, touched, shared)
+		}
+		if &pd.reduced.Pairs[0] == &next.room.Pairs[pd.ids[0]] {
+			t.Fatalf("pod %d: pairs alias the room's pair array", j)
 		}
 	}
 }

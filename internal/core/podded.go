@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // This file implements the pod-sharded form of the paper's consolidation
 // machinery for rooms beyond the O(n²) whole-room tables. The planning
@@ -168,20 +171,34 @@ func NewPodSnapshot(p *Profile, epoch uint64, opts ...PodOption) (*PodSnapshot, 
 // assemblePods freezes a pod snapshot of the validated profile p over the
 // given partition (ascending contiguous ID ranges): the room's reduced
 // instance, one leaf per part, and the depth-shaped tree over them.
-// NewPodSnapshot and Patch both build through it, so a patch is a cold
+// NewPodSnapshot and a power-drift Patch build through it; every Patch
+// builds through the same leafSums and freezePods, so a patch is a cold
 // build over the receiver's partition, bit for bit.
 func assemblePods(epoch uint64, p *Profile, parts [][]int, depth int) *PodSnapshot {
-	ps := &PodSnapshot{epoch: epoch, planTree: planTree{profile: p, depth: depth}}
-	ps.room = p.Reduce()
-	for _, pr := range ps.room.Pairs {
-		ps.totalB += pr.B
-	}
-	ps.pods = make([]*pod, len(parts))
+	room := p.Reduce()
+	leaves := make([]*pod, len(parts))
 	for j, ids := range parts {
-		ps.pods[j] = makeLeaf(ps.room, p, ids, ps.totalB)
+		leaves[j] = leafSums(room, ids)
 	}
-	ps.root = buildUnitTree(ps.pods, 0, len(parts), depth)
-	return ps
+	return freezePods(epoch, p, room, leaves, depth)
+}
+
+// freezePods finishes a pod snapshot over leaves whose pairs and sums are
+// set: B_total summed over the room in ID order, every leaf's
+// share-scaled scalars, and the depth-shaped tree.
+func freezePods(epoch uint64, p *Profile, room Reduced, leaves []*pod, depth int) *PodSnapshot {
+	totalB := sumSpeeds(room.Pairs)
+	for _, pd := range leaves {
+		pd.setShare(p, totalB)
+	}
+	return &PodSnapshot{epoch: epoch, planTree: planTree{
+		profile: p,
+		room:    room,
+		pods:    leaves,
+		root:    buildUnitTree(leaves, 0, len(leaves), depth),
+		totalB:  totalB,
+		depth:   depth,
+	}}
 }
 
 // Epoch returns the snapshot's generation tag.
@@ -281,7 +298,9 @@ func (pt *planTree) refineUnion(union []int, load float64) []int {
 func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool) []int {
 	r := pt.room
 	n := len(r.Pairs)
-	in := make([]bool, n)
+	ws := refinePool.Get().(*refineWork)
+	defer refinePool.Put(ws)
+	in, out := ws.masks(n)
 	var sumA, sumB float64
 	for _, i := range union {
 		in[i] = true
@@ -312,13 +331,13 @@ func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool
 	// kinetic tournaments (tournament.go) track both as t moves, with the
 	// lowest ID winning ties.
 	unblocked := func(i int) bool { return blocked == nil || !blocked[i] }
-	out := make([]bool, n)
 	for i := range out {
 		out[i] = !in[i] && unblocked(i)
 	}
 	t := (sumA - load) / sumB
-	adds := newLineTournament(r.Pairs, out, true, t)
-	rems := newLineTournament(r.Pairs, in, false, t)
+	adds := newLineTournament(r.Pairs, out, true, t, ws.adds)
+	rems := newLineTournament(r.Pairs, in, false, t, ws.rems)
+	ws.adds, ws.rems = adds.nodes, rems.nodes
 	// toggle moves machine i across the union boundary in both trees,
 	// which are valid at t after this move's best calls.
 	toggle := func(i int) {
@@ -377,6 +396,28 @@ func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool
 		cur = bestPower
 	}
 	return unionFromMask(in, k)
+}
+
+// refineWork is refineUnionBlocked's reusable workspace: the union and
+// outsider masks and both tournaments' node arrays, about 3.3 MB at
+// 65 536 machines. Pooling it keeps a cold plan from allocating (and
+// zeroing) them afresh, which would run a GC cycle on most plans.
+type refineWork struct {
+	in, out    []bool
+	adds, rems []tourNode
+}
+
+var refinePool = sync.Pool{New: func() any { return new(refineWork) }}
+
+// masks returns the workspace's two n-long masks: in cleared, out
+// unspecified (the caller overwrites every entry).
+func (ws *refineWork) masks(n int) (in, out []bool) {
+	if cap(ws.in) < n {
+		ws.in, ws.out = make([]bool, n), make([]bool, n)
+	}
+	ws.in, ws.out = ws.in[:n], ws.out[:n]
+	clear(ws.in)
+	return ws.in, ws.out
 }
 
 // unionFromMask materializes a membership mask as ascending machine IDs.

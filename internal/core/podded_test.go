@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"coolopt/internal/mathx"
 )
 
 // hierProfile builds a heterogeneous room in the paper's parameter regime
@@ -278,9 +280,35 @@ func BenchmarkColdPodPlan(b *testing.B) {
 	for i := range loads {
 		loads[i] = (0.05 + 0.9*float64(i)/96) * n
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ps.Plan(loads[i%len(loads)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPodPatch times PodSnapshot.Patch on the same room as
+// BenchmarkColdPodPlan with 16 machines drifted in one pod, the pod
+// cycling over all 128: the room pair copy, B_total, one touched leaf's
+// pairs and sums and every leaf's share-scaled scalars.
+func BenchmarkPodPatch(b *testing.B) {
+	const n, pods, k = 65536, 128, 16
+	p := hierProfile(n)
+	ps, err := NewPodSnapshot(p, 0, WithPodCount(pods))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := mathx.NewRand(5)
+	batches := make([][]MachineDelta, pods)
+	for j := range batches {
+		batches[j] = podBatch(rng, p, j*(n/pods), n/pods, k)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ps.Patch(batches[i%pods]); err != nil {
 			b.Fatal(err)
 		}
 	}

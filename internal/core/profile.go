@@ -35,12 +35,13 @@ type MachineProfile struct {
 	Gamma float64 `json:"gamma"`
 }
 
-// Validate checks physical plausibility of the coefficients.
+// Validate checks physical plausibility of the coefficients. NaN fails
+// every check.
 func (m MachineProfile) Validate() error {
-	if m.Alpha <= 0 {
+	if !(m.Alpha > 0) {
 		return fmt.Errorf("core: alpha = %v, must be positive", m.Alpha)
 	}
-	if m.Beta <= 0 {
+	if !(m.Beta > 0) {
 		return fmt.Errorf("core: beta = %v, must be positive", m.Beta)
 	}
 	return nil
@@ -92,13 +93,22 @@ func (p *Profile) Validate() error {
 	if len(p.Machines) == 0 {
 		return errors.New("core: no machines in profile")
 	}
-	for i, m := range p.Machines {
-		if err := m.Validate(); err != nil {
-			return fmt.Errorf("core: machine %d: %w", i, err)
+	for i := range p.Machines {
+		if err := p.validateMachine(i); err != nil {
+			return err
 		}
-		if k := p.K(i); k <= 0 {
-			return fmt.Errorf("core: machine %d infeasible: K = %v ≤ 0 (cannot stay under T_max even idle)", i, k)
-		}
+	}
+	return nil
+}
+
+// validateMachine checks machine i's coefficients and its Eq. 19
+// feasibility K_i > 0 under the room's power model.
+func (p *Profile) validateMachine(i int) error {
+	if err := p.Machines[i].Validate(); err != nil {
+		return fmt.Errorf("core: machine %d: %w", i, err)
+	}
+	if k := p.K(i); !(k > 0) {
+		return fmt.Errorf("core: machine %d infeasible: K = %v ≤ 0 (cannot stay under T_max even idle)", i, k)
 	}
 	return nil
 }
@@ -191,13 +201,36 @@ func (p *Profile) MaxSafeTAc(on []int, loads []float64) (units.Celsius, error) {
 		if i < 0 || i >= p.Size() {
 			return 0, fmt.Errorf("core: machine index %d out of range", i)
 		}
-		m := p.Machines[i]
-		// α_i·T_ac + β_i·P_i + γ_i ≤ T_max  ⇒  T_ac ≤ (T_max − β_i·P_i − γ_i)/α_i.
-		limit := (p.TMaxC - m.Beta*float64(p.ServerPower(loads[i])) - m.Gamma) / m.Alpha
-		if limit < best {
+		if limit := p.supplyLimit(i, loads[i]); limit < best {
 			best = limit
 		}
 	}
+	return p.safeSupply(best)
+}
+
+// MaxSafeTAcAllOn is MaxSafeTAc with every machine on at the same
+// utilization, without materializing the index and load vectors.
+func (p *Profile) MaxSafeTAcAllOn(load float64) (units.Celsius, error) {
+	best := p.TAcMaxC
+	for i := range p.Machines {
+		if limit := p.supplyLimit(i, load); limit < best {
+			best = limit
+		}
+	}
+	return p.safeSupply(best)
+}
+
+// supplyLimit returns the warmest supply at which machine i stays at or
+// below T_max under the given utilization:
+// α_i·T_ac + β_i·P_i + γ_i ≤ T_max  ⇒  T_ac ≤ (T_max − β_i·P_i − γ_i)/α_i.
+func (p *Profile) supplyLimit(i int, load float64) float64 {
+	m := p.Machines[i]
+	return (p.TMaxC - m.Beta*float64(p.ServerPower(load)) - m.Gamma) / m.Alpha
+}
+
+// safeSupply turns the tightest machine limit into MaxSafeTAc's answer:
+// the limit itself, or an error below the actuation floor.
+func (p *Profile) safeSupply(best float64) (units.Celsius, error) {
 	if best < p.TAcMinC {
 		return units.Celsius(p.TAcMinC), fmt.Errorf("core: no safe supply temperature within bounds (needs %v °C)", best)
 	}

@@ -280,10 +280,10 @@ func TestRefineUnionAdversarialRooms(t *testing.T) {
 		// The first move's tournaments at t = 2 must agree with the scan.
 		in := []bool{true, true, false, false, false, false}
 		out := []bool{false, false, true, true, true, true}
-		if got := newLineTournament(pairs, out, true, 2).best(2); got != 2 {
+		if got := newLineTournament(pairs, out, true, 2, nil).best(2); got != 2 {
 			t.Fatalf("top outsider at the crossing = %d, want 2 (lower ID on the tie)", got)
 		}
-		if got := newLineTournament(pairs, in, false, 2).best(2); got != 1 {
+		if got := newLineTournament(pairs, in, false, 2, nil).best(2); got != 1 {
 			t.Fatalf("bottom insider = %d, want 1", got)
 		}
 	})
@@ -312,8 +312,8 @@ func TestLineTournamentMatchesScanUnderMotion(t *testing.T) {
 			present[i] = rng.Intn(2) == 0
 		}
 		tv := float64(rng.Intn(64)) / 8
-		top := newLineTournament(r.Pairs, present, true, tv)
-		bottom := newLineTournament(r.Pairs, present, false, tv)
+		top := newLineTournament(r.Pairs, present, true, tv, nil)
+		bottom := newLineTournament(r.Pairs, present, false, tv, nil)
 		for step := 0; step < 200; step++ {
 			if rng.Intn(3) == 0 {
 				tv = float64(rng.Intn(64)) / 8 // exact grid times: crossings land on them

@@ -36,11 +36,9 @@ type Snapshot struct {
 // so the tree is always consistent with the tables.
 func newFlatSnapshot(epoch uint64, p *Profile, pre *Preprocessed) *Snapshot {
 	room := pre.reduced
-	var totalB float64
-	for _, pr := range room.Pairs {
-		totalB += pr.B
-	}
-	leaf := makeLeaf(room, p, allIDs(p.Size()), totalB)
+	totalB := sumSpeeds(room.Pairs)
+	leaf := leafSums(room, allIDs(p.Size()))
+	leaf.setShare(p, totalB)
 	leaf.pre = pre
 	tree := planTree{
 		profile: p,

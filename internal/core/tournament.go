@@ -64,13 +64,18 @@ type lineTournament struct {
 	nodes   []tourNode
 }
 
-// newLineTournament builds the tree over the present machines, valid at t.
-func newLineTournament(pairs []Pair, present []bool, top bool, t float64) *lineTournament {
+// newLineTournament builds the tree over the present machines, valid at
+// t. Its nodes reuse buf when it is large enough; the build overwrites
+// every node, so buf needs no clearing.
+func newLineTournament(pairs []Pair, present []bool, top bool, t float64, buf []tourNode) *lineTournament {
 	size := 1
 	for size < len(pairs) {
 		size *= 2
 	}
-	tr := &lineTournament{pairs: pairs, present: present, top: top, size: size, nodes: make([]tourNode, size)}
+	if cap(buf) < size {
+		buf = make([]tourNode, size)
+	}
+	tr := &lineTournament{pairs: pairs, present: present, top: top, size: size, nodes: buf[:size]}
 	for j := size - 1; j >= 1; j-- {
 		tr.eval(j, t)
 	}

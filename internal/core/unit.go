@@ -545,35 +545,43 @@ func (pt *planTree) maxLoad(budgetW float64) (MaxLoadResult, error) {
 	return MaxLoadResult{Load: load, Subset: union, T: t}, nil
 }
 
-// makeLeaf builds one leaf shard over the listed (ascending, contiguous)
-// global machine IDs: the pod-local pair slice, the Eq. 21–22 aggregates
-// accumulated in ID order, and the share-scaled cooling leverage and
-// clamp bounds (share = B_j/B_total; see the podded.go file comment).
-// Every construction path — NewPodSnapshot, Patch, and the flat
-// Snapshot's single leaf — funnels through this one loop so the sums are
-// bit-identical across them.
-func makeLeaf(room Reduced, p *Profile, ids []int, totalB float64) *pod {
-	var sumA, sumB float64
-	pairs := make([]Pair, len(ids))
+// leafSums is a leaf's O(n_j) part over the listed (ascending,
+// contiguous) global machine IDs: its own copy of their pairs and the
+// Eq. 21–22 aggregates A_j = Σ K_i and B_j = Σ α_i/β_i accumulated in ID
+// order. Every construction path — NewPodSnapshot, Patch, and the flat
+// Snapshot's single leaf — builds leaves with leafSums then setShare, so
+// sums and scalars are bit-identical across them.
+func leafSums(room Reduced, ids []int) *pod {
+	pd := &pod{ids: ids, reduced: Reduced{Pairs: make([]Pair, len(ids))}}
 	for i, id := range ids {
-		pairs[i] = room.Pairs[id]
-		sumA += pairs[i].A
-		sumB += pairs[i].B
+		pd.reduced.Pairs[i] = room.Pairs[id]
+		pd.sumA += pd.reduced.Pairs[i].A
+		pd.sumB += pd.reduced.Pairs[i].B
 	}
-	share := sumB / totalB
-	return &pod{
-		ids:   ids,
-		sumA:  sumA,
-		sumB:  sumB,
-		share: share,
-		reduced: Reduced{
-			Pairs:      pairs,
-			W2:         p.W2,
-			Rho:        p.CoolFactor * p.W1 * share,
-			CoolFactor: p.CoolFactor * share,
-			SetPointC:  p.SetPointC,
-			W1:         p.W1,
-		},
-		bounds: p.bounds(share),
+	return pd
+}
+
+// setShare fills a leaf's share-scaled scalars from its sums: share =
+// B_j/B_total, the share-scaled cooling leverage and the clamp bounds
+// (see the podded.go file comment).
+func (pd *pod) setShare(p *Profile, totalB float64) {
+	pd.share = pd.sumB / totalB
+	pd.reduced = Reduced{
+		Pairs:      pd.reduced.Pairs,
+		W2:         p.W2,
+		Rho:        p.CoolFactor * p.W1 * pd.share,
+		CoolFactor: p.CoolFactor * pd.share,
+		SetPointC:  p.SetPointC,
+		W1:         p.W1,
 	}
+	pd.bounds = p.bounds(pd.share)
+}
+
+// sumSpeeds returns B_total = Σ α_i/β_i over the pairs, in ID order.
+func sumSpeeds(pairs []Pair) float64 {
+	var total float64
+	for _, pr := range pairs {
+		total += pr.B
+	}
+	return total
 }

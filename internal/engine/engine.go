@@ -329,7 +329,7 @@ func newState(snap *core.Snapshot, pods *core.PodSnapshot) (*state, error) {
 		return nil, errors.New("engine: need exactly one of whole-room tables and a pod tree")
 	}
 	if pods != nil {
-		pl, err := baseline.NewPlannerOnProfile(pods.Profile())
+		pl, err := baseline.NewPlannerOnPods(pods)
 		if err != nil {
 			return nil, err
 		}

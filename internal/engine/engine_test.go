@@ -602,7 +602,7 @@ func TestPodOnlyEngine(t *testing.T) {
 	if !resp.Hierarchical {
 		t.Fatal("pod-only default plan not hierarchical")
 	}
-	// Non-#8 scenarios run off the profile-only planner.
+	// Non-#8 scenarios run off the pod planner.
 	if _, err := e.Plan(ctx, Request{Load: 10, Method: baseline.EvenACNoCons}); err != nil {
 		t.Fatalf("baseline scenario on pod-only engine: %v", err)
 	}

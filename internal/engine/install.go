@@ -15,6 +15,10 @@ import (
 //	PrepareInstall / PreparePatch   build the full serving state off the
 //	                                hot path (planner, epoch, tables) —
 //	                                readers keep serving the old state;
+//	                                the planner sorts nothing until a
+//	                                bottom-up plan asks for its cool
+//	                                order, and a pod patch re-derives
+//	                                only the leaves the batch touches;
 //	CommitInstall                   an O(1) epoch-checked pointer swap
 //	                                plus cache drop, with no admission
 //	                                gate and no readiness flap.
@@ -82,9 +86,10 @@ func (e *Engine) PrepareInstall(snap *core.Snapshot, pods *core.PodSnapshot) (*P
 // live tables with a drift batch: whole-room tables splice their retained
 // crossing list when the live snapshot carries one (WithPatchSupport —
 // the patched result always does, so the path is self-sustaining), and a
-// pod tree re-derives its table-free leaves in O(n). Invalid
-// batches are refused with core.ErrBadDelta. The live state keeps serving
-// untouched throughout.
+// pod tree re-derives only the leaves holding a drifted machine (plus
+// O(n) copies of the room's pairs and profile). Invalid batches are
+// refused with core.ErrBadDelta. The live state keeps serving untouched
+// throughout.
 //
 // Power-model drift (core.PowerDrift) forces a from-scratch rebuild,
 // still bit-identical to a fresh build: replacement W1/W2 move every

@@ -287,3 +287,42 @@ func TestConcurrentInstallPatch(t *testing.T) {
 		t.Fatalf("epoch %d, stats %+v, want %d commits", e.Epoch(), s, 2*rounds)
 	}
 }
+
+// BenchmarkInstallPatch times InstallPatch end to end on a 65 536-machine
+// pod engine in 128 pods of 512 (cold-large's size, idle temperatures
+// jittered) with 16 machines drifted in one pod, the pod cycling over
+// all 128: the pod patch, the scenario planner over the new generation,
+// and the commit.
+func BenchmarkInstallPatch(b *testing.B) {
+	const n, pods, k = 65536, 128, 16
+	p := testProfile(n)
+	for i := range p.Machines {
+		// Jitter the rack-height gradient so idle temperatures are not
+		// already in ID order.
+		p.Machines[i].Gamma += 2 * math.Sin(float64(i)*2.399963)
+	}
+	ps, err := core.NewPodSnapshot(p, 0, core.WithPodCount(pods))
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := FromPodSnapshot(ps)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([][]core.MachineDelta, pods)
+	for j := range batches {
+		for m := 0; m < k; m++ {
+			id := j*(n/pods) + m*(n/pods/k)
+			mp := p.Machines[id]
+			mp.Gamma += 0.01 * float64(1+j%7)
+			batches[j] = append(batches[j], core.MachineDelta{ID: id, Machine: mp})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.InstallPatch(batches[i%pods]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
