@@ -24,7 +24,8 @@ GO ?= go
 # early-stopping k sweep against its full-sweep oracle, the table-free
 # leaf planner against exhaustive enumeration, the crossing radix sort
 # against the comparison sort, snapshot patches against cold rebuilds and
-# the pooled union refinement against its scan, ten seconds each; cover
+# the pooled union refinement against its scan, and the degraded single
+# leaf against the survivor room's healthy plan, ten seconds each; cover
 # ratchets combined internal/core + internal/engine statement coverage
 # against the committed coverage_baseline.json.
 .PHONY: ci
@@ -186,7 +187,7 @@ perfbench-smoke:
 		echo "perfbench-smoke: want \"correct\":true and \"failed\":0, got:"; echo "$$out"; exit 1; \
 	fi
 
-# fuzz-smoke runs five fuzz targets for ten seconds each.
+# fuzz-smoke runs six fuzz targets for ten seconds each.
 # FuzzClampedSelect draws random small rooms, clamp bounds and loads,
 # where clampedSelect's cooling-floor stop must pick the full sweep's k,
 # event and score bit for bit. FuzzLeafSelect draws rooms of at most ten
@@ -201,8 +202,11 @@ perfbench-smoke:
 # the touched-leaf pod patch among them, must match a cold rebuild byte
 # for byte or refuse with ErrBadDelta. FuzzRefineUnion draws small rooms
 # with ties and 1-ulp nudges, where the union refinement on its pooled
-# workspace must return the scan's union exactly. New failing inputs
-# land in internal/core/testdata/fuzz/<target>.
+# workspace must return the scan's union exactly. FuzzPlanAvoiding draws
+# rooms of at most ten machines, optionally ulp-nudged, and a survivor
+# mask, where a one-pod snapshot's PlanAvoiding must return the healthy
+# plan of the room without the avoided machines bit for bit. New failing
+# inputs land in internal/core/testdata/fuzz/<target>.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzClampedSelect$$' -fuzztime 10s ./internal/core
@@ -210,6 +214,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSortCrossings$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotPatch$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzRefineUnion$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanAvoiding$$' -fuzztime 10s ./internal/core
 
 # cover runs the full test suite with atomic coverage and ratchets the
 # combined internal/core + internal/engine statement coverage against

@@ -97,33 +97,36 @@ func FuzzSnapshotPatch(f *testing.F) {
 			equalPairs(t, "fuzz pod", gotPods.pods[j].reduced.Pairs, wantPods.pods[j].reduced.Pairs)
 		}
 
-		// Drift on an avoided machine: degraded planning over the patched
-		// snapshot must match the rebuild bit for bit and never power the
-		// avoided machine, drifted or not.
-		avoid := int(avoidRaw) % n
-		pool := make([]int, 0, n-1)
-		for i := 0; i < n; i++ {
-			if i != avoid {
-				pool = append(pool, i)
-			}
-		}
-		gp := gotFlat.PlanOver(pool, 0.4*n)
+		// Drift on an avoided machine: degraded planning over either
+		// patched snapshot must match its rebuild bit for bit and never
+		// power the avoided machine, drifted or not.
+		avoid := []int{int(avoidRaw) % n}
 		wp, err := NewSnapshot(patched, 1, WithPreprocessWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wplan := wp.PlanOver(pool, 0.4*n)
-		if (gp == nil) != (wplan == nil) {
-			t.Fatalf("degraded plans disagree: %v vs %v", gp, wplan)
-		}
-		if gp != nil {
-			equalPlans(t, "fuzz degraded", gp, wplan)
+		for _, c := range []struct {
+			label     string
+			got, want func(float64, []int) (*Plan, error)
+		}{
+			{"fuzz degraded flat", gotFlat.PlanAvoiding, wp.PlanAvoiding},
+			{"fuzz degraded pods", gotPods.PlanAvoiding, wantPods.PlanAvoiding},
+		} {
+			gp, gerr := c.got(0.4*n, avoid)
+			wplan, werr := c.want(0.4*n, avoid)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: plans disagree on feasibility: %v vs %v", c.label, gerr, werr)
+			}
+			if gerr != nil {
+				continue
+			}
+			equalPlans(t, c.label, gp, wplan)
 			for _, i := range gp.On {
-				if i == avoid {
-					t.Fatalf("degraded plan powered avoided machine %d", avoid)
+				if i == avoid[0] {
+					t.Fatalf("%s: powered avoided machine %d", c.label, i)
 				}
 				if math.Signbit(gp.Loads[i]) {
-					t.Fatalf("machine %d carries negative load", i)
+					t.Fatalf("%s: machine %d carries negative load", c.label, i)
 				}
 			}
 		}

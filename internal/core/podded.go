@@ -237,7 +237,7 @@ func (ps *PodSnapshot) TableBytes() int { return 0 }
 // falls back to powering its whole shard — always capacity-feasible for
 // the clamped slice.
 func (ps *PodSnapshot) Select(load float64) ([]int, error) {
-	return ps.selectUnion(load)
+	return ps.selectUnion(load, nil)
 }
 
 // Plan returns the hierarchical plan for the given total load: recursive
@@ -246,7 +246,17 @@ func (ps *PodSnapshot) Select(load float64) ([]int, error) {
 // the chosen machines and any optimality gap lives in the subset choice
 // alone.
 func (ps *PodSnapshot) Plan(load float64) (*Plan, error) {
-	return ps.plan(load)
+	return ps.plan(load, nil)
+}
+
+// PlanAvoiding is Plan over the machines not named in avoid: the same
+// body with the failed machines masked out of every leaf, aggregate and
+// exchange move. A nil or empty avoid list is the healthy Plan. IDs
+// outside [0, n) are an error; a load beyond the survivor count (or
+// below any feasible supply temperature) returns ErrInfeasible — the
+// serving layer sheds to the surviving capacity and retries.
+func (ps *PodSnapshot) PlanAvoiding(load float64, avoid []int) (*Plan, error) {
+	return ps.plan(load, avoid)
 }
 
 // Consolidate answers select(A, k ≥ minK, L) hierarchically: the on-set
@@ -265,11 +275,11 @@ func (ps *PodSnapshot) MaxLoad(budgetW float64) (MaxLoadResult, error) {
 	return ps.maxLoad(budgetW)
 }
 
-// refineUnion is a bounded greedy exchange pass over the pod union. The
-// per-pod selections are each front-optimal at their own pod time, but
-// the room optimum is a front set at one shared time, so membership at
-// the pod boundaries can be off by a few machines. Under Eq. 23 a
-// single add/remove move re-scores in O(1):
+// refineUnionBlocked is a bounded greedy exchange pass over the pod
+// union. The per-pod selections are each front-optimal at their own pod
+// time, but the room optimum is a front set at one shared time, so
+// membership at the pod boundaries can be off by a few machines. Under
+// Eq. 23 a single add/remove move re-scores in O(1):
 //
 //	add m:    t' = t + x_m(t)/(ΣB + b_m)
 //	remove m: t' = t − x_m(t)/(ΣB − b_m)
@@ -288,13 +298,9 @@ func (ps *PodSnapshot) MaxLoad(budgetW float64) (MaxLoadResult, error) {
 // lines with the scan's own A − t*B and ascending-ID tie-break, and
 // trust a winner only while t stays farther from the crossing than
 // rounding can reach, so the unions are exactly the scan's.
-func (pt *planTree) refineUnion(union []int, load float64) []int {
-	return pt.refineUnionBlocked(union, load, nil)
-}
-
-// refineUnionBlocked is refineUnion with an optional avoid mask: blocked
-// machines never enter the union through an add or swap move. The
-// degraded path passes its avoid set; the healthy path passes nil.
+//
+// Blocked machines (a nil mask blocks none) never enter the union
+// through an add or swap move.
 func (pt *planTree) refineUnionBlocked(union []int, load float64, blocked []bool) []int {
 	r := pt.room
 	n := len(r.Pairs)

@@ -3,27 +3,27 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
-// This file implements the degraded (avoid-set) half of the recursive
-// planner: PlanAvoiding answers "plan this load around these failed
-// machines" without falling back to the flat O(n²) pool solver the
-// hierarchy exists to avoid. The recursion itself lives in unit.go
-// (planTree.selectAvoiding / planAvoiding); this file owns the
-// survivor-restricted primitives it composes.
+// This file holds the survivor primitives of the one planning body in
+// unit.go (planTree.plan). A degraded request — "plan this load around
+// these failed machines" — is the healthy problem over the survivors, so
+// it runs the same body with a blocked mask, on every topology:
 //
-// The structure mirrors Plan. Pods untouched by the avoid set reuse
-// their Eq. 21–22 aggregates verbatim; an affected pod recomputes
-// survivor-restricted aggregates (A′_j, B′_j, cap′_j) and runs the one
-// leaf solver, leafSelect, over its survivors instead of all its
-// machines. The water-filling split (recursing through interior nodes,
-// whose survivor curves are just the clamped sums of their subtrees'),
-// the union SolveBounded, and the bounded exchange then run over the
-// mixed set exactly as in the healthy path, with the avoid set masked
-// out of every move. With one pod the whole query delegates to the flat
-// Profile.PlanOver over the survivors, so the single-leaf degraded plan
-// is bit-identical to the exact degraded plan.
+//   - leafAggs keeps an untouched leaf's Eq. 21–22 aggregates verbatim
+//     and gives a touched one survivor-restricted aggregates
+//     (A′_j, B′_j, cap′_j) and its survivors' indices;
+//   - selectFor runs the one leaf solver, leafSelect, over a touched
+//     leaf's survivors — the whole-room Snapshot's table-backed leaf
+//     included, since its tables answer only for the whole room;
+//   - the water-filling split (interior survivor curves are the clamped
+//     sums of their subtrees'), the bounded exchange and growUnion run
+//     with the avoid set masked out of every move.
+//
+// A single leaf's degraded plan is therefore the healthy plan of the
+// room without the failed machines. Profile.PlanOver, the O(n²) prefix
+// sweep over the survivors, is kept only as a reference to measure
+// against.
 
 // podAgg is one leaf's water-filling aggregate: Σ K_i, Σ α_i/β_i, and
 // the machine-count capacity, restricted to the machines still in
@@ -32,37 +32,35 @@ type podAgg struct {
 	sumA, sumB, cap float64
 }
 
-// canonAvoid validates the avoid list against the room size and returns
-// a sorted, deduplicated copy. Out-of-range IDs are an error — a client
-// naming a machine the room does not have is working from stale
+// avoidMask validates the avoid list against the room size and returns
+// its mask (nil for an empty list) and the number of machines left in
+// service; duplicates count once. Out-of-range IDs are an error — a
+// client naming a machine the room does not have is working from stale
 // inventory, and silently ignoring it would hide that.
-func canonAvoid(avoid []int, n int) ([]int, error) {
+func avoidMask(avoid []int, n int) ([]bool, int, error) {
 	if len(avoid) == 0 {
-		return nil, nil
+		return nil, n, nil
 	}
-	out := append([]int(nil), avoid...)
-	sort.Ints(out)
-	if out[0] < 0 || out[len(out)-1] >= n {
-		bad := out[0]
-		if bad >= 0 {
-			bad = out[len(out)-1]
+	blocked := make([]bool, n)
+	m := n
+	for _, id := range avoid {
+		if id < 0 || id >= n {
+			return nil, 0, fmt.Errorf("core: avoid machine %d outside [0, %d)", id, n)
 		}
-		return nil, fmt.Errorf("core: avoid machine %d outside [0, %d)", bad, n)
-	}
-	dst := out[:1]
-	for _, id := range out[1:] {
-		if id != dst[len(dst)-1] {
-			dst = append(dst, id)
+		if !blocked[id] {
+			blocked[id] = true
+			m--
 		}
 	}
-	return dst, nil
+	return blocked, m, nil
 }
 
-// survivorPool lists the unblocked machine IDs ascending.
+// survivorPool lists the unblocked machine IDs ascending; a nil mask
+// blocks none.
 func survivorPool(n int, blocked []bool) []int {
 	pool := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if !blocked[i] {
+		if blocked == nil || !blocked[i] {
 			pool = append(pool, i)
 		}
 	}
@@ -128,30 +126,19 @@ func waterFill(aggs []podAgg, load float64) []float64 {
 	return out
 }
 
-func countBlocked(blocked []bool) int {
-	k := 0
-	for _, b := range blocked {
-		if b {
-			k++
-		}
-	}
-	return k
-}
-
 // growUnion tops the union up until it can carry the load at a feasible
 // supply temperature: while the member count is below ⌈load⌉ or the
 // aggregate Eq. 21 supply W1·(ΣA − L)/ΣB sits below the actuator
 // minimum, the front-most unused survivor joins. Adding machines only
 // raises the optimal supply (each new K_i·β_i/α_i is far above the
 // actuation range), so the loop is monotone and SolveBounded succeeds on
-// the result whenever any survivor subset is feasible.
+// the result whenever any survivor subset is feasible. Every plan runs
+// it, so feasibility is tested from the union's sums before anything
+// n-long is allocated.
 func (pt *planTree) growUnion(union []int, load float64, blocked []bool) []int {
 	r := pt.room
-	n := len(r.Pairs)
-	in := make([]bool, n)
 	var sumA, sumB float64
 	for _, i := range union {
-		in[i] = true
 		sumA += r.Pairs[i].A
 		sumB += r.Pairs[i].B
 	}
@@ -164,6 +151,11 @@ func (pt *planTree) growUnion(union []int, load float64, blocked []bool) []int {
 	}
 	if feasible() {
 		return union
+	}
+	n := len(r.Pairs)
+	in := make([]bool, n)
+	for _, i := range union {
+		in[i] = true
 	}
 	t := (sumA - load) / sumB
 	if t < 0 {
@@ -185,15 +177,4 @@ func (pt *planTree) growUnion(union []int, load float64, blocked []bool) []int {
 		}
 	}
 	return union
-}
-
-// PlanAvoiding is the degraded hierarchical plan: consolidation and load
-// split over the machines not named in avoid. A nil or empty avoid list
-// is the healthy Plan. IDs outside [0, n) are an error; a load beyond
-// the survivor count (or below any feasible supply temperature) returns
-// ErrInfeasible — the serving layer sheds to the surviving capacity and
-// retries. With a single pod the answer is bit-identical to the flat
-// degraded solver Profile.PlanOver over the survivors, at every depth.
-func (ps *PodSnapshot) PlanAvoiding(load float64, avoid []int) (*Plan, error) {
-	return ps.planAvoiding(load, avoid)
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
+
+	"coolopt/internal/mathx"
 )
 
 // concentratedAvoid fails f consecutive machines starting inside one pod
@@ -28,50 +30,149 @@ func spreadAvoid(n, f int) []int {
 	return out
 }
 
-// TestPlanAvoidingSinglePodBitIdentical is the degraded p = 1 property:
-// with one pod PlanAvoiding must reproduce the flat degraded solver
-// (Profile.PlanOver over the survivors) bit for bit.
-func TestPlanAvoidingSinglePodBitIdentical(t *testing.T) {
-	const n = 64
-	p := hierProfile(n)
-	hier, err := NewPodSnapshot(p, 0, WithPodCount(1))
-	if err != nil {
-		t.Fatal(err)
+// survivorRoom returns the profile of the room without the blocked
+// machines and the survivors' IDs in the full room, ascending: survivor
+// j of the small room is machine pool[j] of the full one.
+func survivorRoom(p *Profile, blocked []bool) (*Profile, []int) {
+	pool := survivorPool(p.Size(), blocked)
+	q := *p
+	q.Machines = make([]MachineProfile, len(pool))
+	for j, id := range pool {
+		q.Machines[j] = p.Machines[id]
 	}
-	for _, avoid := range [][]int{{3}, {0, 1, 2, 3}, concentratedAvoid(n, 8), spreadAvoid(n, 8)} {
+	return &q, pool
+}
+
+// liftPlan maps a plan of the survivor room back onto the full room's
+// n machines.
+func liftPlan(pl *Plan, pool []int, n int) *Plan {
+	out := &Plan{On: make([]int, len(pl.On)), Loads: make([]float64, n), TAcC: pl.TAcC, Clamped: pl.Clamped}
+	for i, j := range pl.On {
+		out.On[i] = pool[j]
+	}
+	for j, l := range pl.Loads {
+		out.Loads[pool[j]] = l
+	}
+	return out
+}
+
+// checkSurvivorPlan holds a degraded plan to the healthy plan of the
+// survivor room, lifted back to full-room IDs: both infeasible, or the
+// same on set, load bits and T_ac bits.
+func checkSurvivorPlan(t *testing.T, label string, got *Plan, gerr error, want *Plan, werr error, pool []int, n int) {
+	t.Helper()
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("%s: degraded err %v, survivor-room err %v", label, gerr, werr)
+	}
+	if gerr == nil {
+		samePlanBits(t, label, got, liftPlan(want, pool, n))
+	}
+}
+
+// TestPlanAvoidingIsSurvivorRoomPlan is the degraded single-leaf
+// property: a degraded request is the healthy problem over the
+// survivors, so on a whole-room Snapshot and on a one-pod PodSnapshot
+// PlanAvoiding(L, avoid) must return, bit for bit, the Plan(L) of the
+// same topology built over the room without the avoided machines.
+func TestPlanAvoidingIsSurvivorRoomPlan(t *testing.T) {
+	// build returns a room's whole-room and one-pod snapshots.
+	build := func(p *Profile) (*Snapshot, *PodSnapshot) {
+		t.Helper()
+		s, err := NewSnapshot(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pods, err := NewPodSnapshot(p, 0, WithPodCount(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, pods
+	}
+	rng := mathx.NewRand(22)
+	for _, n := range []int{6, 10, 64, 256, 1024} {
+		p := hierProfile(n)
+		snap, pods := build(p)
+		for set := 0; set < 3; set++ {
+			blocked := make([]bool, n)
+			avoid := rng.Perm(n)[:1+rng.Intn(max(1, n/4))]
+			for _, id := range avoid {
+				blocked[id] = true
+			}
+			room, pool := survivorRoom(p, blocked)
+			roomSnap, roomPods := build(room)
+			for l := 0; l < 5; l++ {
+				load := rng.Uniform(0.05, 0.97) * float64(len(pool))
+				label := fmt.Sprintf("n=%d avoid %v load %v", n, avoid, load)
+				got, gerr := snap.PlanAvoiding(load, avoid)
+				want, werr := roomSnap.Plan(load)
+				checkSurvivorPlan(t, "snapshot "+label, got, gerr, want, werr, pool, n)
+				got, gerr = pods.PlanAvoiding(load, avoid)
+				want, werr = roomPods.Plan(load)
+				checkSurvivorPlan(t, "one pod "+label, got, gerr, want, werr, pool, n)
+				if gerr != nil {
+					t.Fatalf("one pod %s: %v", label, gerr)
+				}
+			}
+		}
+	}
+}
+
+// FuzzPlanAvoiding holds the degraded single leaf to the same oracle on
+// small adversarial rooms: a gridReduced room of at most ten machines,
+// optionally nudged by single ulps, turned into a profile with β_i = 1,
+// and a random non-empty survivor mask. The oracle is the table-free
+// one-pod snapshot of the survivor room; kinetic tables are no oracle on
+// nudged rooms, whose sweep can keep stale pieces across near-ties.
+func FuzzPlanAvoiding(f *testing.F) {
+	f.Add(int64(1), uint8(6), false, uint16(0x2d), uint16(3))
+	f.Add(int64(2), uint8(9), true, uint16(0x1fe), uint16(40))
+	f.Add(int64(3), uint8(3), true, uint16(0x4), uint16(7))
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, nudge bool, mask, pick uint16) {
+		rng := mathx.NewRand(seed)
+		n := 1 + int(size%10)
+		r := gridReduced(rng, n)
+		if nudge {
+			for i := range r.Pairs {
+				if rng.Intn(2) == 0 {
+					r.Pairs[i].A = math.Nextafter(r.Pairs[i].A, math.Inf(1))
+				}
+			}
+		}
+		lo := float64(rng.Intn(8)) / 4
+		p := &Profile{W1: r.W1, W2: r.W2, CoolFactor: 1 + float64(rng.Intn(8))/4, SetPointC: lo + float64(rng.Intn(40))/4,
+			TMaxC: 64, TAcMinC: lo, TAcMaxC: lo + float64(1+rng.Intn(32))/4, Machines: make([]MachineProfile, n)}
+		for i, pr := range r.Pairs {
+			p.Machines[i] = MachineProfile{Alpha: pr.B, Beta: 1, Gamma: p.TMaxC - p.W2 - pr.A*p.W1}
+		}
+		if p.Validate() != nil {
+			return
+		}
 		blocked := make([]bool, n)
-		for _, i := range avoid {
-			blocked[i] = true
-		}
-		pool := survivorPool(n, blocked)
-		for _, frac := range []float64{0.1, 0.4, 0.8} {
-			load := frac * float64(len(pool))
-			want := p.PlanOver(pool, load)
-			if want == nil {
-				t.Fatalf("flat degraded plan infeasible at load %v avoid %v", load, avoid)
-			}
-			got, err := hier.PlanAvoiding(load, avoid)
-			if err != nil {
-				t.Fatalf("PlanAvoiding(%v, %v): %v", load, avoid, err)
-			}
-			if len(got.On) != len(want.On) {
-				t.Fatalf("load %v avoid %v: on sets sized %d vs %d", load, avoid, len(got.On), len(want.On))
-			}
-			for i := range got.On {
-				if got.On[i] != want.On[i] {
-					t.Fatalf("load %v avoid %v: on[%d] = %d vs %d", load, avoid, i, got.On[i], want.On[i])
-				}
-			}
-			for i := range got.Loads {
-				if math.Float64bits(got.Loads[i]) != math.Float64bits(want.Loads[i]) {
-					t.Fatalf("load %v avoid %v: machine %d load not bit-identical", load, avoid, i)
-				}
-			}
-			if math.Float64bits(float64(got.TAcC)) != math.Float64bits(float64(want.TAcC)) {
-				t.Fatalf("load %v avoid %v: TAcC %v vs %v", load, avoid, got.TAcC, want.TAcC)
+		var avoid []int
+		for i := 0; i < n; i++ {
+			if mask>>i&1 == 1 {
+				blocked[i] = true
+				avoid = append(avoid, i)
 			}
 		}
-	}
+		if len(avoid) == n {
+			return
+		}
+		full, err := NewPodSnapshot(p, 0, WithPodCount(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		room, pool := survivorRoom(p, blocked)
+		surv, err := NewPodSnapshot(room, 0, WithPodCount(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loads := sweepLoads(rng, len(pool), 1)
+		load := loads[int(pick)%len(loads)]
+		got, gerr := full.PlanAvoiding(load, avoid)
+		want, werr := surv.Plan(load)
+		checkSurvivorPlan(t, fmt.Sprintf("n=%d avoid %v load %v", n, avoid, load), got, gerr, want, werr, pool, n)
+	})
 }
 
 // TestPlanAvoidingGapBound measures the degraded hierarchical plan
@@ -229,38 +330,6 @@ func TestPlanAvoidingDeterministic(t *testing.T) {
 				t.Fatalf("rep %d: machine %d load differs", rep, i)
 			}
 		}
-	}
-}
-
-// TestPlanOverCtx checks the cancellable flat degraded sweep: a live
-// context reproduces PlanOver exactly, a cancelled one stops with the
-// context's error.
-func TestPlanOverCtx(t *testing.T) {
-	const n = 64
-	p := hierProfile(n)
-	pool := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if i%7 != 0 {
-			pool = append(pool, i)
-		}
-	}
-	want := p.PlanOver(pool, 30)
-	got, err := p.PlanOverCtx(context.Background(), pool, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want == nil || got == nil {
-		t.Fatalf("plans nil: %v vs %v", want, got)
-	}
-	for i := range got.Loads {
-		if math.Float64bits(got.Loads[i]) != math.Float64bits(want.Loads[i]) {
-			t.Fatalf("machine %d: PlanOverCtx differs from PlanOver", i)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.PlanOverCtx(ctx, pool, 30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled sweep: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -20,6 +20,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"coolopt/internal/units"
 )
@@ -76,18 +77,30 @@ type Profile struct {
 	Machines []MachineProfile `json:"machines"`
 }
 
-// Validate checks the profile.
+// Validate checks the profile. Every check is written so that NaN
+// fails it, and every room constant must be finite.
 func (p *Profile) Validate() error {
-	if p.W1 <= 0 {
+	for _, c := range []struct {
+		name string
+		v    float64
+	}{
+		{"W1", p.W1}, {"W2", p.W2}, {"cool factor", p.CoolFactor}, {"set point", p.SetPointC},
+		{"T_max", p.TMaxC}, {"supply minimum", p.TAcMinC}, {"supply maximum", p.TAcMaxC},
+	} {
+		if math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+			return fmt.Errorf("core: %s = %v, must be finite", c.name, c.v)
+		}
+	}
+	if !(p.W1 > 0) {
 		return fmt.Errorf("core: W1 = %v, must be positive", p.W1)
 	}
-	if p.W2 < 0 {
+	if !(p.W2 >= 0) {
 		return fmt.Errorf("core: W2 = %v, must be non-negative", p.W2)
 	}
-	if p.CoolFactor <= 0 {
+	if !(p.CoolFactor > 0) {
 		return fmt.Errorf("core: cool factor = %v, must be positive", p.CoolFactor)
 	}
-	if p.TAcMinC >= p.TAcMaxC {
+	if !(p.TAcMinC < p.TAcMaxC) {
 		return fmt.Errorf("core: supply bounds [%v, %v] invalid", p.TAcMinC, p.TAcMaxC)
 	}
 	if len(p.Machines) == 0 {

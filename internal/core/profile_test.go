@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"coolopt/internal/mathx"
@@ -55,6 +57,40 @@ func TestProfileValidate(t *testing.T) {
 				t.Fatal("invalid profile accepted")
 			}
 		})
+	}
+}
+
+// TestProfileRejectsNonFiniteConstants feeds each room constant NaN and
+// ±Inf: Validate, NewSnapshot and NewPodSnapshot must all refuse every
+// one, since comparisons such as CoolFactor <= 0 are false on NaN.
+func TestProfileRejectsNonFiniteConstants(t *testing.T) {
+	fields := []struct {
+		name string
+		at   func(*Profile) *float64
+	}{
+		{"W1", func(p *Profile) *float64 { return &p.W1 }},
+		{"W2", func(p *Profile) *float64 { return &p.W2 }},
+		{"CoolFactor", func(p *Profile) *float64 { return &p.CoolFactor }},
+		{"SetPointC", func(p *Profile) *float64 { return &p.SetPointC }},
+		{"TMaxC", func(p *Profile) *float64 { return &p.TMaxC }},
+		{"TAcMinC", func(p *Profile) *float64 { return &p.TAcMinC }},
+		{"TAcMaxC", func(p *Profile) *float64 { return &p.TAcMaxC }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := testProfile()
+			*f.at(p) = v
+			label := fmt.Sprintf("%s = %v", f.name, v)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s: Validate accepted", label)
+			}
+			if _, err := NewSnapshot(p, 0); err == nil {
+				t.Errorf("%s: NewSnapshot accepted", label)
+			}
+			if _, err := NewPodSnapshot(p, 0, WithPodCount(2)); err == nil {
+				t.Errorf("%s: NewPodSnapshot accepted", label)
+			}
+		}
 	}
 }
 

@@ -116,7 +116,8 @@ func (pt *planTree) refineUnionScan(union []int, load float64, blocked []bool) [
 func rawUnion(t testing.TB, pt *planTree, load float64) []int {
 	t.Helper()
 	var w leafWalk
-	if err := pt.selectFor(pt.root, load, pt.healthyAggs(), nil, &w); err != nil {
+	aggs, _ := pt.leafAggs(nil)
+	if err := pt.selectFor(pt.root, load, aggs, nil, &w); err != nil {
 		t.Fatalf("select load %v: %v", load, err)
 	}
 	return w.union

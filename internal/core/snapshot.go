@@ -99,7 +99,7 @@ func (s *Snapshot) Root() *Unit { return s.tree.root }
 // comes from SolveBounded. The shared recursive planning path (unit.go)
 // degenerates to exactly this for a single leaf.
 func (s *Snapshot) Plan(load float64) (*Plan, error) {
-	return s.tree.plan(load)
+	return s.tree.plan(load, nil)
 }
 
 // PlanNoConsolidation returns the minimum-power plan that keeps every
@@ -108,8 +108,11 @@ func (s *Snapshot) PlanNoConsolidation(load float64) (*Plan, error) {
 	return s.profile.PlanAllOn(load)
 }
 
-// PlanOver consolidates over prefixes of the given machine pool; see
-// Profile.PlanOver.
-func (s *Snapshot) PlanOver(pool []int, load float64) *Plan {
-	return s.profile.PlanOver(pool, load)
+// PlanAvoiding is Plan over the machines not named in avoid, with the
+// same contract as PodSnapshot.PlanAvoiding. The table-backed leaf
+// answers only for the whole room, so a failure moves it onto the
+// survivor leaf solver (leafSelect): the plan is the one Plan would
+// return for the room without the failed machines.
+func (s *Snapshot) PlanAvoiding(load float64, avoid []int) (*Plan, error) {
+	return s.tree.plan(load, avoid)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -209,24 +208,12 @@ func (p *Profile) PlanAllOn(load float64) (*Plan, error) {
 
 // PlanOver consolidates over prefixes of the given machine pool: the
 // closed form is solved for every on-count k ≥ ⌈load⌉ over pool[:k] and
-// the cheapest feasible plan under the model wins (the profiled machines
-// are near-homogeneous, so which k pool members run matters far less than
-// how many). This is the flat degraded planner's workhorse: the pool is
-// the surviving set after failures, which the precomputed whole-room
-// tables cannot answer for directly. Returns nil when no prefix is
+// the cheapest feasible plan under the model wins. It is O(|pool|²) and
+// not the Eq. 23 optimum over the pool, so nothing serves from it: it is
+// the flat reference degraded plans are measured against (PlanAvoiding
+// over the survivors is the planner). Returns nil when no prefix is
 // feasible.
 func (p *Profile) PlanOver(pool []int, load float64) *Plan {
-	plan, _ := p.PlanOverCtx(context.Background(), pool, load)
-	return plan
-}
-
-// PlanOverCtx is PlanOver with cooperative cancellation: the prefix
-// sweep is O(|pool|) closed-form solves — seconds at datacenter scale —
-// so a serving deadline must be able to cut it short. The context is
-// checked between solves; on cancellation the error is ctx.Err(). An
-// exhausted sweep with no feasible prefix returns (nil, nil), exactly
-// like PlanOver.
-func (p *Profile) PlanOverCtx(ctx context.Context, pool []int, load float64) (*Plan, error) {
 	var (
 		best  *Plan
 		bestW float64
@@ -236,9 +223,6 @@ func (p *Profile) PlanOverCtx(ctx context.Context, pool []int, load float64) (*P
 		minOn = 1
 	}
 	for k := minOn; k <= len(pool); k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		plan, err := p.SolveBounded(pool[:k], load)
 		if err != nil {
 			continue
@@ -248,7 +232,7 @@ func (p *Profile) PlanOverCtx(ctx context.Context, pool []int, load float64) (*P
 			best, bestW = plan, w
 		}
 	}
-	return best, nil
+	return best
 }
 
 // PlanPower returns the plan's total power under the paper's model

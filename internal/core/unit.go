@@ -32,9 +32,17 @@ import (
 // The final answer is always exact for the chosen machine set: the leaf
 // selections are unioned and the room's closed form (SolveBounded) runs
 // once over the union, preceded by the bounded greedy exchange
-// (refineUnion) that repairs membership at unit boundaries. The
+// (refineUnionBlocked) that repairs membership at unit boundaries. The
 // optimality gap therefore lives in the subset choice alone, at every
 // depth, exactly as DESIGN.md §7 argues for depth 2.
+//
+// Healthy and degraded requests share that one body (plan): a degraded
+// request is the same problem over the machines still in service, so
+// it passes a blocked mask that restricts the leaf aggregates, moves
+// every touched leaf onto leafSelect over its survivors, and keeps the
+// failed machines out of every exchange move (podded_degraded.go). A
+// single leaf's degraded plan is thus the healthy plan of the room
+// without the failed machines.
 //
 // Bit-identity invariants the tests pin down:
 //
@@ -166,13 +174,42 @@ type planTree struct {
 	depth int
 }
 
-// healthyAggs returns every leaf's full water-filling aggregate.
-func (pt *planTree) healthyAggs() []podAgg {
+// leafAggs returns every leaf's water-filling aggregate over its
+// machines in service and, when blocked is non-nil, the survivors' local
+// indices of each leaf the mask touches (nil for an untouched leaf). A
+// touched leaf's aggregate is its full sums less the blocked machines'
+// pairs, so untouched leaves keep their sums verbatim.
+func (pt *planTree) leafAggs(blocked []bool) ([]podAgg, [][]int) {
 	aggs := make([]podAgg, len(pt.pods))
+	var surv [][]int
+	if blocked != nil {
+		surv = make([][]int, len(pt.pods))
+	}
 	for j, pd := range pt.pods {
 		aggs[j] = podAgg{sumA: pd.sumA, sumB: pd.sumB, cap: float64(len(pd.ids))}
+		if blocked == nil {
+			continue
+		}
+		touched := false
+		for li, id := range pd.ids {
+			if blocked[id] {
+				touched = true
+				aggs[j].sumA -= pd.reduced.Pairs[li].A
+				aggs[j].sumB -= pd.reduced.Pairs[li].B
+				aggs[j].cap--
+			}
+		}
+		if touched {
+			own := make([]int, 0, int(aggs[j].cap))
+			for li, id := range pd.ids {
+				if !blocked[id] {
+					own = append(own, li)
+				}
+			}
+			surv[j] = own
+		}
 	}
-	return aggs
+	return aggs, surv
 }
 
 // leafWalk is one descent's state: the union it gathers (global machine
@@ -193,32 +230,32 @@ type leafWalk struct {
 //   - an interior node with one child passes the load through unchanged;
 //   - an interior node water-fills over its children's aggregate curves
 //     (waterFill — the same bisection at every level) and recurses;
-//   - the flat Snapshot's leaf answers from its kinetic tables
-//     (clampedSelect); a pod leaf from leafSelect over its machines, or
-//     over its survivors when the degraded path restricted it
-//     (surv[leaf] non-nil).
+//   - a leaf the avoid mask leaves whole answers from its kinetic tables
+//     (clampedSelect) when it has them, else from leafSelect over all
+//     its machines; a leaf the mask touches (surv[leaf] non-nil) runs
+//     leafSelect over its survivors.
 //
 // Allocations at or below the water-fill noise floor (1e-12) prune the
-// subtree. aggs holds the per-leaf aggregates the interior curves sum —
-// healthy or survivor-restricted — so one recursion serves both paths.
+// subtree. aggs holds the per-leaf aggregates the interior curves sum
+// (leafAggs), so one recursion serves healthy and degraded requests.
 func (pt *planTree) selectFor(u *Unit, load float64, aggs []podAgg, surv [][]int, w *leafWalk) error {
 	if load <= 1e-12 {
 		return nil
 	}
 	if u.leaf != nil {
 		pd := u.leaf
+		var own []int
+		if surv != nil {
+			own = surv[u.lo]
+		}
 		var local []int
-		if pd.pre != nil {
+		if pd.pre != nil && own == nil {
 			k, e, _ := clampedSelect(pd.pre, load, pd.bounds)
 			if k == 0 {
 				return fmt.Errorf("%w: no machine subset satisfies load %v within constraints", ErrInfeasible, load)
 			}
 			local = pd.pre.frontSet(e, k)
 		} else {
-			var own []int
-			if surv != nil {
-				own = surv[u.lo]
-			}
 			start := w.t
 			if !w.solved {
 				start = math.Max(0, (aggs[u.lo].sumA-load)/aggs[u.lo].sumB)
@@ -253,21 +290,31 @@ func (pt *planTree) selectFor(u *Unit, load float64, aggs []podAgg, surv [][]int
 	return nil
 }
 
-// selectUnion returns the healthy on-set for the given room load: the
-// recursive allocator splits the load down the tree, each leaf picks its
-// clamped power-optimal front set, and the union — repaired by the
-// bounded exchange when there is more than one leaf — is returned in
-// ascending global-ID order.
-func (pt *planTree) selectUnion(load float64) ([]int, error) {
+// selectUnion returns the on-set for the given room load over the
+// machines in service (all but those blocked marks; a nil mask marks
+// none): the recursive allocator splits the load down the tree, each
+// leaf picks its clamped power-optimal front set, the union is repaired
+// by the bounded exchange when there is more than one leaf (blocked
+// machines never join it) and grown until it can carry the load, and it
+// is returned in ascending global-ID order.
+func (pt *planTree) selectUnion(load float64, blocked []bool) ([]int, error) {
 	n := pt.profile.Size()
-	if load <= 0 {
+	for _, b := range blocked {
+		if b {
+			n--
+		}
+	}
+	switch {
+	case load <= 0:
 		return nil, fmt.Errorf("core: load %v must be positive (power everything off instead)", load)
+	case n == 0:
+		return nil, fmt.Errorf("%w: every machine avoided", ErrInfeasible)
+	case load > float64(n):
+		return nil, fmt.Errorf("%w: load %v exceeds the %d machines in service", ErrInfeasible, load, n)
 	}
-	if load > float64(n) {
-		return nil, fmt.Errorf("%w: load %v exceeds cluster capacity %d", ErrInfeasible, load, n)
-	}
+	aggs, surv := pt.leafAggs(blocked)
 	var w leafWalk
-	if err := pt.selectFor(pt.root, load, pt.healthyAggs(), nil, &w); err != nil {
+	if err := pt.selectFor(pt.root, load, aggs, surv, &w); err != nil {
 		return nil, err
 	}
 	union := w.union
@@ -275,35 +322,50 @@ func (pt *planTree) selectUnion(load float64) ([]int, error) {
 		return nil, fmt.Errorf("%w: no pod accepts any of load %v", ErrInfeasible, load)
 	}
 	if len(pt.pods) > 1 {
-		union = pt.refineUnion(union, load)
+		union = pt.refineUnionBlocked(union, load, blocked)
 	}
+	union = pt.growUnion(union, load, blocked)
 	sort.Ints(union)
 	return union, nil
 }
 
-// plan is the shared Plan body: recursive subset selection followed by
-// the room's exact closed form over the union, so the load split and
-// supply temperature are exact for the chosen machines and any
-// optimality gap lives in the subset choice alone.
+// plan is the one Plan and PlanAvoiding body: consolidation and load
+// split over the machines not named in avoid (every machine for an
+// empty list). Recursive subset selection is followed by the room's
+// exact closed form over the union, so the load split and supply
+// temperature are exact for the chosen machines and any optimality gap
+// lives in the subset choice alone. IDs outside [0, n) are an error; a
+// load beyond the machines in service (or below any feasible supply
+// temperature) returns ErrInfeasible — the serving layer sheds to the
+// surviving capacity and retries.
 //
-// A single leaf ranks subset sizes by the unbounded closed form
-// (clampedSelect), which cannot see the 0 ≤ L_i ≤ 1 box. Where the box
-// repair pinned a machine that ranking can be wrong, so all-on — one of
-// the sets the paper's solution searches, which it may therefore never
-// draw more than — is solved too and the cheaper plan wins. Trees of
-// several leaves never take this path.
-func (pt *planTree) plan(load float64) (*Plan, error) {
-	union, err := pt.selectUnion(load)
+// Every survivor on is the most feasible subset there is, so when the
+// union's box repair starves its free set the plan falls back to it. A
+// single leaf also solves it when the repair pinned a machine: the leaf
+// ranks subset sizes by the unbounded closed form (clampedSelect,
+// leafSelect), which cannot see the 0 ≤ L_i ≤ 1 box, and all survivors
+// on is one of the sets the paper's solution searches, which it may
+// therefore never draw more than. Trees of several leaves never take
+// that second path.
+func (pt *planTree) plan(load float64, avoid []int) (*Plan, error) {
+	n := pt.profile.Size()
+	blocked, m, err := avoidMask(avoid, n)
+	if err != nil {
+		return nil, err
+	}
+	union, err := pt.selectUnion(load, blocked)
 	if err != nil {
 		return nil, err
 	}
 	plan, pinned, err := pt.profile.solveBounded(union, load)
-	if err != nil {
-		return nil, err
-	}
-	if n := pt.profile.Size(); pinned && len(pt.pods) == 1 && len(union) < n {
-		if allOn, err := pt.profile.SolveBounded(allIDs(n), load); err == nil && pt.profile.PlanPower(allOn) < pt.profile.PlanPower(plan) {
-			plan = allOn
+	switch {
+	case err != nil:
+		if plan, err = pt.profile.SolveBounded(survivorPool(n, blocked), load); err != nil {
+			return nil, err
+		}
+	case pinned && len(pt.pods) == 1 && len(union) < m:
+		if all, err := pt.profile.SolveBounded(survivorPool(n, blocked), load); err == nil && pt.profile.PlanPower(all) < pt.profile.PlanPower(plan) {
+			plan = all
 		}
 	}
 	if err := pt.profile.ValidatePlan(plan, load, 1e-6); err != nil {
@@ -322,108 +384,6 @@ func (pt *planTree) kind() string {
 	return "hierarchical optimizer"
 }
 
-// selectAvoiding is the degraded analogue of selectUnion: leaf
-// aggregates restricted to the survivors, the same recursive water-fill,
-// per-leaf selection (leafSelect over all machines of untouched leaves,
-// over the survivors of affected ones), and the bounded exchange over
-// the union with the avoid set masked out of every add and swap.
-func (pt *planTree) selectAvoiding(load float64, blocked []bool) ([]int, error) {
-	aggs := make([]podAgg, len(pt.pods))
-	survLocal := make([][]int, len(pt.pods))
-	for j, pd := range pt.pods {
-		agg := podAgg{sumA: pd.sumA, sumB: pd.sumB, cap: float64(len(pd.ids))}
-		touched := false
-		for li, id := range pd.ids {
-			if blocked[id] {
-				touched = true
-				agg.sumA -= pd.reduced.Pairs[li].A
-				agg.sumB -= pd.reduced.Pairs[li].B
-				agg.cap--
-			}
-		}
-		if touched {
-			surv := make([]int, 0, int(agg.cap))
-			for li, id := range pd.ids {
-				if !blocked[id] {
-					surv = append(surv, li)
-				}
-			}
-			survLocal[j] = surv
-		}
-		aggs[j] = agg
-	}
-	var w leafWalk
-	if err := pt.selectFor(pt.root, load, aggs, survLocal, &w); err != nil {
-		return nil, err
-	}
-	union := w.union
-	if len(union) == 0 {
-		return nil, fmt.Errorf("%w: no pod accepts any of load %v around %d failures",
-			ErrInfeasible, load, countBlocked(blocked))
-	}
-	union = pt.refineUnionBlocked(union, load, blocked)
-	union = pt.growUnion(union, load, blocked)
-	sort.Ints(union)
-	return union, nil
-}
-
-// planAvoiding is the shared PlanAvoiding body: consolidation and load
-// split over the machines not named in avoid. A nil or empty avoid list
-// is the healthy plan. IDs outside [0, n) are an error; a load beyond
-// the survivor count (or below any feasible supply temperature) returns
-// ErrInfeasible — the serving layer sheds to the surviving capacity and
-// retries. With a single leaf the answer is bit-identical to the flat
-// degraded solver Profile.PlanOver over the survivors.
-func (pt *planTree) planAvoiding(load float64, avoid []int) (*Plan, error) {
-	n := pt.profile.Size()
-	av, err := canonAvoid(avoid, n)
-	if err != nil {
-		return nil, err
-	}
-	if len(av) == 0 {
-		return pt.plan(load)
-	}
-	if load <= 0 {
-		return nil, fmt.Errorf("core: load %v must be positive (power everything off instead)", load)
-	}
-	m := n - len(av)
-	if m == 0 {
-		return nil, fmt.Errorf("%w: all %d machines avoided", ErrInfeasible, n)
-	}
-	if load > float64(m) {
-		return nil, fmt.Errorf("%w: load %v exceeds the %d surviving machines", ErrInfeasible, load, m)
-	}
-	blocked := make([]bool, n)
-	for _, i := range av {
-		blocked[i] = true
-	}
-	if len(pt.pods) == 1 {
-		plan := pt.profile.PlanOver(survivorPool(n, blocked), load)
-		if plan == nil {
-			return nil, fmt.Errorf("%w: no feasible plan for load %v over %d survivors", ErrInfeasible, load, m)
-		}
-		return plan, nil
-	}
-	union, err := pt.selectAvoiding(load, blocked)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := pt.profile.SolveBounded(union, load)
-	if err != nil {
-		// The union's box repair can pin enough machines to starve the
-		// free set; the full survivor pool is the most feasible subset
-		// there is, so fall back to it before declaring infeasibility.
-		plan, err = pt.profile.SolveBounded(survivorPool(n, blocked), load)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := pt.profile.ValidatePlan(plan, load, 1e-6); err != nil {
-		return nil, fmt.Errorf("core: degraded %s produced invalid plan: %w", pt.kind(), err)
-	}
-	return plan, nil
-}
-
 // consolidate is the shared Consolidate body: the on-set from
 // selectUnion, topped up deterministically with the front-most unused
 // machines when the union is smaller than minK, scored with the room's
@@ -432,7 +392,7 @@ func (pt *planTree) consolidate(load float64, minK int) (Selection, error) {
 	if minK < 1 {
 		minK = 1
 	}
-	union, err := pt.selectUnion(load)
+	union, err := pt.selectUnion(load, nil)
 	if err != nil {
 		return Selection{}, err
 	}

@@ -551,9 +551,8 @@ func (e *Engine) store(key string, resp *Response) {
 }
 
 // compute solves one normalized request against one state. The context
-// carries the request deadline: the flat degraded sweep checks it
-// between closed-form solves, and the fault-injection hook (if any) may
-// block on it.
+// carries the request deadline: an expired one fails the request before
+// any planning, and the fault-injection hook (if any) may block on it.
 func (e *Engine) compute(ctx context.Context, st *state, req Request) (*Response, error) {
 	if e.computeHook != nil {
 		e.computeHook(ctx)
@@ -568,7 +567,7 @@ func (e *Engine) compute(ctx context.Context, st *state, req Request) (*Response
 			return nil, err
 		}
 	case len(req.Avoid) > 0:
-		if err := e.degradedPlan(ctx, st, req, resp); err != nil {
+		if err := e.degradedPlan(st, req, resp); err != nil {
 			return nil, err
 		}
 	case req.Method == baseline.OptimalACCons && req.Load > 0 && st.pods != nil:
@@ -604,58 +603,37 @@ func survivors(n int, avoid []int) []int {
 	return pool
 }
 
-// degradedPlan plans around the avoid set. On a pod engine the pod-local
-// PlanAvoiding answers: untouched pods plan over all their machines,
-// affected pods over their survivors, and the flat O(n²) pool sweep never
-// runs. On a whole-room engine the paper's closed form re-runs over the
-// survivors (context-cancellable). Either way, when even the full
-// surviving set cannot carry the demand the excess is shed to the pool's
-// Eq. 20 capacity at the coldest supply (with the thermal cushion).
-func (e *Engine) degradedPlan(ctx context.Context, st *state, req Request, resp *Response) error {
+// degradedPlan plans around the avoid set with PlanAvoiding on whichever
+// model the state holds: the one planning body runs over the survivors.
+// When even the full surviving set cannot carry the demand the excess is
+// shed to the pool's Eq. 20 capacity at the coldest supply (with the
+// thermal cushion) and the plan is retried. Avoiding every machine is
+// an infeasibility no shed can help.
+func (e *Engine) degradedPlan(st *state, req Request, resp *Response) error {
 	resp.Degraded = true
-	p := st.profile
-	pool := survivors(p.Size(), req.Avoid)
-	if len(pool) == 0 {
-		return errors.New("engine: no surviving machines")
-	}
+	var planAvoiding func(float64, []int) (*core.Plan, error)
 	if st.pods != nil {
 		resp.Hierarchical = true
-		plan, err := st.pods.PlanAvoiding(req.Load, req.Avoid)
-		if err == nil {
-			resp.Plan = plan
-			return nil
-		}
-		if !errors.Is(err, core.ErrInfeasible) {
-			return err
-		}
-		capacity := p.CapacityAt(pool, units.Celsius(p.TAcMinC+req.MarginC))
-		if capacity <= 0 || capacity >= req.Load {
-			return err // infeasibility was not demand-driven; shedding cannot help
-		}
-		plan, shedErr := st.pods.PlanAvoiding(capacity, req.Avoid)
-		if shedErr != nil {
-			return fmt.Errorf("engine: no feasible degraded plan even after shedding to %.2f units: %w", capacity, shedErr)
-		}
-		resp.Plan = plan
-		resp.ShedLoad = req.Load - capacity
-		resp.Capacity = capacity
-		return nil
+		planAvoiding = st.pods.PlanAvoiding
+	} else {
+		planAvoiding = st.snap.PlanAvoiding
 	}
-	plan, err := p.PlanOverCtx(ctx, pool, req.Load)
-	if err != nil {
-		return err
-	}
-	if plan != nil {
+	plan, err := planAvoiding(req.Load, req.Avoid)
+	if err == nil {
 		resp.Plan = plan
 		return nil
 	}
-	capacity := p.CapacityAt(pool, units.Celsius(p.TAcMinC+req.MarginC))
-	plan, err = p.PlanOverCtx(ctx, pool, capacity)
-	if err != nil {
+	if !errors.Is(err, core.ErrInfeasible) {
 		return err
 	}
-	if plan == nil {
-		return fmt.Errorf("engine: no feasible degraded plan even after shedding to %.2f units", capacity)
+	p := st.profile
+	capacity := p.CapacityAt(survivors(p.Size(), req.Avoid), units.Celsius(p.TAcMinC+req.MarginC))
+	if capacity <= 0 || capacity >= req.Load {
+		return err // infeasibility was not demand-driven; shedding cannot help
+	}
+	plan, shedErr := planAvoiding(capacity, req.Avoid)
+	if shedErr != nil {
+		return fmt.Errorf("engine: no feasible degraded plan even after shedding to %.2f units: %w", capacity, shedErr)
 	}
 	resp.Plan = plan
 	resp.ShedLoad = req.Load - capacity

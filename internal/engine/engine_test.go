@@ -515,7 +515,7 @@ func TestEngineServesInstalledTables(t *testing.T) {
 		if tc.hier {
 			want, err = pods.PlanAvoiding(10, avoid)
 		} else {
-			want, err = snap.Profile().PlanOverCtx(ctx, survivors(n, avoid), 10)
+			want, err = snap.PlanAvoiding(10, avoid)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -67,7 +67,8 @@ func TestDegradedHierarchicalRouting(t *testing.T) {
 			t.Fatalf("avoided machine %d is on", i)
 		}
 	}
-	// A whole-room engine of the same room keeps the flat degraded sweep.
+	// A whole-room engine of the same room plans around the failures with
+	// its own snapshot and reports no hierarchy.
 	resp, err = testEngine(t, n).Plan(context.Background(), Request{Load: 20, Avoid: avoid})
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +79,11 @@ func TestDegradedHierarchicalRouting(t *testing.T) {
 }
 
 // TestDegradedHierarchicalShedding: demand beyond the surviving pool
-// sheds to the survivors' Eq. 20 capacity through the pod path.
+// sheds to the survivors' Eq. 20 capacity through the pod path, and
+// through the same degraded branch on a whole-room engine.
 func TestDegradedHierarchicalShedding(t *testing.T) {
 	const n = 32
-	e, err := FromPodSnapshot(testPods(t, n, 0))
+	pod, err := FromPodSnapshot(testPods(t, n, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +91,28 @@ func TestDegradedHierarchicalShedding(t *testing.T) {
 	for i := range avoid {
 		avoid[i] = i * 4
 	}
-	resp, err := e.Plan(context.Background(), Request{Load: float64(n) - 2, Avoid: avoid, MarginC: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded || !resp.Hierarchical {
-		t.Fatalf("Degraded=%t Hierarchical=%t", resp.Degraded, resp.Hierarchical)
-	}
-	if resp.ShedLoad <= 0 {
-		t.Fatalf("ShedLoad = %v, want > 0 with %d survivors for load %v", resp.ShedLoad, n-len(avoid), float64(n)-2)
-	}
-	if resp.Capacity <= 0 || resp.Capacity > float64(n-len(avoid)) {
-		t.Fatalf("Capacity = %v outside (0, %d]", resp.Capacity, n-len(avoid))
-	}
-	got := resp.Plan.TotalLoad()
-	if diff := got - resp.Capacity; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("plan carries %v, want the shed capacity %v", got, resp.Capacity)
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+		hier bool
+	}{{"pod", pod, true}, {"whole-room", testEngine(t, n), false}} {
+		resp, err := tc.e.Plan(context.Background(), Request{Load: float64(n) - 2, Avoid: avoid, MarginC: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !resp.Degraded || resp.Hierarchical != tc.hier {
+			t.Fatalf("%s: Degraded=%t Hierarchical=%t", tc.name, resp.Degraded, resp.Hierarchical)
+		}
+		if resp.ShedLoad <= 0 {
+			t.Fatalf("%s: ShedLoad = %v, want > 0 with %d survivors for load %v", tc.name, resp.ShedLoad, n-len(avoid), float64(n)-2)
+		}
+		if resp.Capacity <= 0 || resp.Capacity > float64(n-len(avoid)) {
+			t.Fatalf("%s: Capacity = %v outside (0, %d]", tc.name, resp.Capacity, n-len(avoid))
+		}
+		got := resp.Plan.TotalLoad()
+		if diff := got - resp.Capacity; diff > 1e-6 || diff < -1e-6 {
+			t.Fatalf("%s: plan carries %v, want the shed capacity %v", tc.name, got, resp.Capacity)
+		}
 	}
 }
 
